@@ -36,6 +36,8 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 
 from repro.hosting import EcosystemConfig, build_ecosystem
 from repro.scanner import StudyConfig, load_dataset, run_study, save_dataset
+from repro.scanner.datastore import channel_path
+from repro.scanner.records import CHANNELS
 
 BENCH_POPULATION = int(os.environ.get("REPRO_BENCH_POPULATION", "900"))
 BENCH_DAYS = int(os.environ.get("REPRO_BENCH_DAYS", "63"))
@@ -97,6 +99,18 @@ def _ground_truth(ecosystem) -> dict:
     }
 
 
+def _cache_complete(cache_dir: Path) -> bool:
+    """True when ``cache_dir`` holds every file a saved corpus has.
+
+    A directory missing any channel file (an interrupted build, or a
+    partial copy) is rebuilt rather than loaded, because a missing
+    channel would otherwise read as a channel with no rows.
+    """
+    required = [channel_path(str(cache_dir), name) for name in CHANNELS]
+    required += [cache_dir / "meta.json", cache_dir / "ground_truth.json"]
+    return all(os.path.isfile(path) for path in required)
+
+
 @pytest.fixture(scope="session")
 def bench_data():
     """(dataset, ground_truth) for the configured benchmark corpus."""
@@ -105,7 +119,7 @@ def bench_data():
         key += f"_sh{BENCH_SHARDS}"
     cache_dir = _CACHE_ROOT / key
     truth_path = cache_dir / "ground_truth.json"
-    if truth_path.exists():
+    if _cache_complete(cache_dir):
         dataset = load_dataset(str(cache_dir))
         ground_truth = json.loads(truth_path.read_text())
         return dataset, ground_truth

@@ -2,9 +2,12 @@
 
 Provides the standard MODP groups TLS servers actually ship (RFC 3526
 group 14, the Oakley group 2 that old Apache defaults used) plus a
-small test group so unit tests run instantly.  Exponentiation uses
-Python's built-in ``pow``, which is fast enough for simulated scans of
-tens of thousands of domains.
+small test group so unit tests run instantly.  Key generation computes
+``g^x mod p`` with a fixed-base comb over a per-group table of
+``g^(d·256^i)``: one modular multiplication per nonzero exponent byte
+instead of a square-and-multiply over every bit, because a server under
+the paper's FRESH reuse policy generates a new DHE value for every full
+handshake.  Shared secrets (a variable base) use the built-in ``pow``.
 """
 
 from __future__ import annotations
@@ -106,11 +109,50 @@ def validate_public_value(group: DHGroup, public: int) -> None:
         raise InvalidPublicValue(f"public value out of range for {group.name}")
 
 
+#: (prime, generator) -> rows ``[g^(d·256^i) mod p for d in 0..255]``,
+#: one row per exponent byte.  Keyed by the group's value, not its name,
+#: because a client builds a "negotiated" group from the wire.
+_fixed_base_tables: dict[tuple[int, int], list[list[int]]] = {}
+
+
+def _fixed_base_table(group: DHGroup) -> list[list[int]]:
+    """Precompute ``g^(d·256^i) mod p`` for the fixed-base comb.
+
+    Built lazily once per group: ``element_bytes()`` rows of 256 values,
+    about 0.56 MB for test-256 and 20 MB for modp-2048.
+    """
+    key = (group.prime, group.generator)
+    table = _fixed_base_tables.get(key)
+    if table is not None:
+        return table
+    p = group.prime
+    table = []
+    row_base = group.generator % p
+    for _ in range(group.element_bytes()):
+        row = [1]
+        for _ in range(255):
+            row.append(row[-1] * row_base % p)
+        table.append(row)
+        row_base = row[-1] * row_base % p
+    _fixed_base_tables[key] = table
+    return table
+
+
+def fixed_base_pow(group: DHGroup, exponent: int) -> int:
+    """``g^exponent mod p`` for ``0 <= exponent < p``, by the comb table."""
+    p = group.prime
+    result = 1
+    digits = exponent.to_bytes(group.element_bytes(), "little")
+    for row, digit in zip(_fixed_base_table(group), digits):
+        if digit:
+            result = result * row[digit] % p
+    return result
+
+
 def generate_keypair(group: DHGroup, rng: DeterministicRandom) -> DHKeyPair:
     """Generate a fresh exponent in ``[2, p-2]`` and its public value."""
     private = rng.randrange(2, group.prime - 1)
-    public = pow(group.generator, private, group.prime)
-    return DHKeyPair(group=group, private=private, public=public)
+    return DHKeyPair(group=group, private=private, public=fixed_base_pow(group, private))
 
 
 def int_to_group_bytes(group: DHGroup, value: int) -> bytes:
@@ -132,6 +174,7 @@ __all__ = [
     "TEST_GROUP",
     "GROUPS_BY_NAME",
     "generate_keypair",
+    "fixed_base_pow",
     "validate_public_value",
     "int_to_group_bytes",
     "bytes_to_int",

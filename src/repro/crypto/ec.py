@@ -154,7 +154,7 @@ def _from_jacobian(curve: Curve, jac: tuple[int, int, int]) -> Point:
     x, y, z = jac
     if z == 0:
         return None
-    z_inv = pow(z, curve.p - 2, curve.p)
+    z_inv = pow(z, -1, curve.p)
     z_inv2 = z_inv * z_inv % curve.p
     return (x * z_inv2 % curve.p, y * z_inv2 * z_inv % curve.p)
 
@@ -207,6 +207,33 @@ def _jacobian_add(
     ny = (r * (u1h2 - nx) - s1 * h3) % p
     nz = h * z1 * z2 % p
     return (nx, ny, nz)
+
+
+def _jacobian_add_affine(
+    curve: Curve, a: tuple[int, int, int], b: Tuple[int, int]
+) -> tuple[int, int, int]:
+    """Mixed addition: Jacobian ``a`` plus affine ``b`` (``z2 = 1``).
+
+    Same result as :func:`_jacobian_add` on ``(bx, by, 1)`` without the
+    four multiplications by ``z2``.
+    """
+    x1, y1, z1 = a
+    if z1 == 0:
+        return (b[0], b[1], 1)
+    p = curve.p
+    z1sq = z1 * z1 % p
+    h = (b[0] * z1sq - x1) % p
+    r = (b[1] * z1sq * z1 - y1) % p
+    if h == 0:
+        if r:
+            return (1, 1, 0)
+        return _jacobian_double(curve, a)
+    h2 = h * h % p
+    h3 = h2 * h % p
+    u1h2 = x1 * h2 % p
+    nx = (r * r - h3 - 2 * u1h2) % p
+    ny = (r * (u1h2 - nx) - y1 * h3) % p
+    return (nx, ny, h * z1 % p)
 
 
 def point_add(curve: Curve, a: Point, b: Point) -> Point:
@@ -289,35 +316,41 @@ def base_point(curve: Curve) -> Point:
     return (curve.gx, curve.gy)
 
 
-# 8-bit windows: ~32 additions per 256-bit keygen instead of ~60 at
-# the cost of a once-per-curve ~8k-addition table build.  The event-
-# driven scanner regenerates a server keypair per full handshake under
-# the paper's FRESH reuse policy, so base multiplication dominates its
-# remaining crypto budget.
+# 8-bit windows: ~32 additions per 256-bit keygen (16 on the simulated
+# ecosystem's secp128r1) instead of ~60, at the cost of a once-per-curve
+# table of (2^8 - 1) affine points per window.  The scanner regenerates
+# a server keypair per full handshake under the paper's FRESH reuse
+# policy, so base multiplication dominates its remaining crypto budget.
 _FIXED_BASE_WINDOW = 8
-_fixed_base_tables: dict[str, list[list[tuple[int, int, int]]]] = {}
+_fixed_base_tables: dict[str, list[list[Point]]] = {}
 
 
-def _fixed_base_table(curve: Curve) -> list[list[tuple[int, int, int]]]:
-    """Precompute ``j * 16^i * G`` for windowed fixed-base multiplication.
+def _fixed_base_table(curve: Curve) -> list[list[Point]]:
+    """Precompute affine ``j · 256^i · G`` for fixed-base multiplication.
 
-    Built lazily once per curve; turns the millions of ``d·G`` keygens a
-    full ecosystem scan performs into ~``bits/4`` point additions each.
+    Built lazily once per curve and normalised to affine coordinates at
+    build time, so each keygen adds table points with the cheaper mixed
+    Jacobian+affine formula.  ``row[0]`` is a placeholder: a zero digit
+    adds nothing.  No entry is the point at infinity because every
+    curve's order ``n`` is a prime larger than the window's digits.
     """
     table = _fixed_base_tables.get(curve.name)
     if table is not None:
         return table
     windows = (curve.n.bit_length() + _FIXED_BASE_WINDOW - 1) // _FIXED_BASE_WINDOW
     table = []
-    row_base = _to_jacobian(base_point(curve))
+    row_base = base_point(curve)
     for _ in range(windows):
-        row = [(1, 1, 0)]
-        for j in range(1, 1 << _FIXED_BASE_WINDOW):
-            row.append(_jacobian_add(curve, row[j - 1], row_base))
+        row: list[Point] = [None, row_base]
+        acc = _to_jacobian(row_base)
+        for _ in range(2, 1 << _FIXED_BASE_WINDOW):
+            acc = _jacobian_add_affine(curve, acc, row_base)
+            row.append(_from_jacobian(curve, acc))
         table.append(row)
-        row_base = row[1]
+        acc = _to_jacobian(row_base)
         for _ in range(_FIXED_BASE_WINDOW):
-            row_base = _jacobian_double(curve, row_base)
+            acc = _jacobian_double(curve, acc)
+        row_base = _from_jacobian(curve, acc)
     _fixed_base_tables[curve.name] = table
     return table
 
@@ -333,7 +366,7 @@ def scalar_mult_base(curve: Curve, k: int) -> Point:
     while k:
         digit = k & ((1 << _FIXED_BASE_WINDOW) - 1)
         if digit:
-            result = _jacobian_add(curve, result, table[window][digit])
+            result = _jacobian_add_affine(curve, result, table[window][digit])
         k >>= _FIXED_BASE_WINDOW
         window += 1
     return _from_jacobian(curve, result)

@@ -11,10 +11,28 @@ simulation's ground truth.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional
 
 
+def _json_record(cls):
+    """Give a record dataclass its ``to_json``: one JSON object, sorted keys.
+
+    The encoder reads exactly the dataclass fields, by a name tuple sorted
+    once here, so the output equals ``json.dumps(asdict(r), sort_keys=True)``
+    without ``asdict``'s deep copy of values that are immutable scalars.
+    An attribute set on an instance outside the schema is never written.
+    """
+    names = tuple(sorted(f.name for f in fields(cls)))
+
+    def to_json(self) -> str:
+        return json.dumps({name: getattr(self, name) for name in names})
+
+    cls.to_json = to_json
+    return cls
+
+
+@_json_record
 @dataclass
 class ScanObservation:
     """One TLS connection attempt's observable outcome."""
@@ -45,15 +63,13 @@ class ScanObservation:
     # Key-exchange reuse signal.
     kex_public: Optional[str] = None      # hex server (EC)DHE value
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     @classmethod
     def from_json(cls, line: str) -> "ScanObservation":
         data = json.loads(line)
         return cls(**data)
 
 
+@_json_record
 @dataclass
 class ResumptionProbeResult:
     """Outcome of one domain's 24-hour resumption-lifetime probe (§4.1/4.2)."""
@@ -69,14 +85,12 @@ class ResumptionProbeResult:
     ticket_hint: Optional[int] = None
     attempts: int = 0
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     @classmethod
     def from_json(cls, line: str) -> "ResumptionProbeResult":
         return cls(**json.loads(line))
 
 
+@_json_record
 @dataclass
 class CrossDomainEdge:
     """Domain ``b`` accepted a session that originated at domain ``a``."""
@@ -85,9 +99,6 @@ class CrossDomainEdge:
     acceptor: str
     via_same_ip: bool = False
     via_same_as: bool = False
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "CrossDomainEdge":

@@ -267,7 +267,7 @@ def _full(
                     config.dh_group, client._rng
                 )
         else:
-            # generate_keypair's only draw; the pow() result is unobserved.
+            # generate_keypair's only draw; the public value is unobserved.
             client._rng.randrange(2, config.dh_group.prime - 1)
         result.server_kex_public = server_kex_public
     elif suite.kex == KeyExchangeKind.ECDHE:

@@ -98,3 +98,38 @@ def test_agreement_on_modp2048():
     alice = dh.generate_keypair(dh.MODP_2048, rng)
     bob = dh.generate_keypair(dh.MODP_2048, rng)
     assert alice.shared_secret(bob.public) == bob.shared_secret(alice.public)
+
+
+# --- fixed-base comb ----------------------------------------------------
+
+@pytest.mark.parametrize(
+    "group", list(dh.GROUPS_BY_NAME.values()), ids=lambda g: g.name
+)
+def test_fixed_base_pow_matches_builtin_pow(group):
+    p, g = group.prime, group.generator
+    rng = DeterministicRandom(17)
+    exponents = [0, 1, 2, 255, 256, 257, p - 2]
+    exponents += [rng.randrange(2, p - 1) for _ in range(8)]
+    for x in exponents:
+        assert dh.fixed_base_pow(group, x) == pow(g, x, p), x
+
+
+def test_fixed_base_table_keyed_by_group_value():
+    """A client's "negotiated" group with the same (p, g) shares the table."""
+    negotiated = dh.DHGroup("negotiated", dh.TEST_GROUP.prime, dh.TEST_GROUP.generator)
+    assert dh._fixed_base_table(negotiated) is dh._fixed_base_table(dh.TEST_GROUP)
+    other = dh.DHGroup("negotiated", dh.TEST_GROUP.prime, 5)
+    assert dh.fixed_base_pow(other, 12345) == pow(5, 12345, other.prime)
+
+
+def test_generate_keypair_rng_consumption_unchanged():
+    """Keygen draws exactly the reference's bytes: one randrange, nothing else."""
+    rng = DeterministicRandom(2016)
+    reference = DeterministicRandom(2016)
+    for _ in range(5):
+        pair = dh.generate_keypair(dh.TEST_GROUP, rng)
+        private = reference.randrange(2, dh.TEST_GROUP.prime - 1)
+        assert pair.private == private
+        assert pair.public == pow(dh.TEST_GROUP.generator, private, dh.TEST_GROUP.prime)
+        assert rng.bytes_generated == reference.bytes_generated
+    assert rng.random_bytes(16) == reference.random_bytes(16)

@@ -230,3 +230,95 @@ def test_shared_secret_memo_consistency():
     assert first == second
     direct = ec.scalar_mult(ec.SECP128R1, alice.private, bob.public)
     assert first == direct
+
+
+# --- fixed-base comb: affine table, mixed addition, inversion ----------
+
+def _fermat_from_jacobian(curve, jac):
+    """The original normalisation by Fermat inverse ``z^(p-2)``."""
+    x, y, z = jac
+    if z == 0:
+        return None
+    z_inv = pow(z, curve.p - 2, curve.p)
+    z_inv2 = z_inv * z_inv % curve.p
+    return (x * z_inv2 % curve.p, y * z_inv2 * z_inv % curve.p)
+
+
+def test_fixed_base_exhaustive_on_tiny():
+    """Every scalar in [0, n+1], against repeated addition."""
+    curve = ec.TINY
+    g = ec.base_point(curve)
+    acc = None
+    for k in range(curve.n + 2):
+        expected = acc if k < curve.n else (None if k == curve.n else g)
+        assert ec.scalar_mult_base(curve, k) == expected, k
+        assert ec.scalar_mult(curve, k, g) == expected, k
+        acc = ec.point_add(curve, acc, g)
+
+
+def test_mixed_addition_matches_jacobian_addition():
+    """Jacobian + affine equals the general formula, ±P and O included.
+
+    A reduced scalar never makes the comb add a point to itself or to
+    its negation, so these branches are pinned here directly.
+    """
+    curve = ec.TINY
+    g = ec.base_point(curve)
+    points = [ec.scalar_mult(curve, k, g) for k in (1, 2, 5, 77, curve.n - 1)]
+    for a in points + [None]:
+        for b in points:
+            for jac in (ec._to_jacobian(a), ec._jacobian_double(curve, ec._to_jacobian(a))):
+                mixed = ec._jacobian_add_affine(curve, jac, b)
+                general = ec._jacobian_add(curve, jac, ec._to_jacobian(b))
+                assert ec._from_jacobian(curve, mixed) == ec._from_jacobian(curve, general)
+    assert ec._from_jacobian(
+        curve, ec._jacobian_add_affine(curve, ec._to_jacobian(g), ec.point_neg(curve, g))
+    ) is None
+
+
+def _window_boundary_scalars(curve):
+    scalars = {curve.n - 1, curve.n, curve.n + 1}
+    for j in range(1, (curve.n.bit_length() + 7) // 8 + 1):
+        scalars.update((256**j, 256**j - 1))
+    return sorted(scalars)
+
+
+@pytest.mark.parametrize(
+    "curve", list(ec.CURVES_BY_NAME.values()), ids=lambda c: c.name
+)
+def test_fixed_base_window_boundaries(curve):
+    g = ec.base_point(curve)
+    for k in _window_boundary_scalars(curve):
+        expected = ec.scalar_mult(curve, k, g)
+        assert ec.scalar_mult_base(curve, k) == expected, k
+        assert _double_and_add(curve, k, g) == expected, k
+
+
+@pytest.mark.parametrize(
+    "curve", list(ec.CURVES_BY_NAME.values()), ids=lambda c: c.name
+)
+def test_fixed_base_table_is_affine_and_on_curve(curve):
+    table = ec._fixed_base_table(curve)
+    assert len(table) == (curve.n.bit_length() + 7) // 8
+    for i, row in enumerate(table[:2]):
+        assert row[0] is None and len(row) == 256
+        assert row[1] == ec.scalar_mult(curve, 256**i, ec.base_point(curve))
+        assert all(ec.is_on_curve(curve, point) for point in row[1:])
+
+
+@pytest.mark.parametrize(
+    "curve", list(ec.CURVES_BY_NAME.values()), ids=lambda c: c.name
+)
+def test_from_jacobian_matches_fermat_inverse(curve):
+    rng = DeterministicRandom(99)
+    g = ec.base_point(curve)
+    assert ec._from_jacobian(curve, (1, 1, 0)) is None
+    for _ in range(20):
+        jac = ec._jacobian_double(curve, ec._to_jacobian(
+            ec.scalar_mult(curve, rng.randrange(1, curve.n), g)))
+        assert ec._from_jacobian(curve, jac) == _fermat_from_jacobian(curve, jac)
+        # Any representative (λ²x, λ³y, λz) of the same point normalises alike.
+        lam = rng.randrange(1, curve.p)
+        scaled = (jac[0] * lam**2 % curve.p, jac[1] * lam**3 % curve.p,
+                  jac[2] * lam % curve.p)
+        assert ec._from_jacobian(curve, scaled) == _fermat_from_jacobian(curve, jac)

@@ -1,5 +1,11 @@
 """Scan record schema and JSONL serialization tests."""
 
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.scanner.records import (
     CrossDomainEdge,
     ResumptionProbeResult,
@@ -83,3 +89,55 @@ def test_jsonl_skips_blank_lines(tmp_path):
 def test_json_is_one_line():
     record = ScanObservation(domain="x.example", day=0, timestamp=0.0)
     assert "\n" not in record.to_json()
+
+
+# --- encoder vs. the asdict reference ----------------------------------
+
+_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-7, -0.0, 0.0, 1_700_000_000.123456, 4.5e15]),
+    st.text(max_size=12),
+)
+
+
+def _reference_json(record) -> str:
+    """The original encoder, kept as the byte-level reference."""
+    return json.dumps(dataclasses.asdict(record), sort_keys=True)
+
+
+def _records(cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    return st.fixed_dictionaries({name: _SCALAR for name in names}).map(
+        lambda values: cls(**values)
+    )
+
+
+@pytest.mark.parametrize(
+    "cls", [ScanObservation, ResumptionProbeResult, CrossDomainEdge],
+    ids=lambda c: c.__name__,
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_to_json_matches_asdict_reference(cls, data):
+    record = data.draw(_records(cls))
+    assert record.to_json() == _reference_json(record)
+
+
+def test_to_json_escapes_non_ascii_like_reference():
+    record = ScanObservation(domain="bücher.例え.jp", day=0, timestamp=1e-7,
+                             error="ошибка  ", rank=-0.0)
+    encoded = record.to_json()
+    assert encoded == _reference_json(record)
+    assert encoded.isascii()
+
+
+def test_ad_hoc_instance_attribute_is_not_encoded():
+    record = ScanObservation(domain="x.example", day=0, timestamp=0.0)
+    record.ground_truth_stek = "secret"
+    assert "ground_truth_stek" not in record.to_json()
+    assert record.to_json() == ScanObservation(
+        domain="x.example", day=0, timestamp=0.0
+    ).to_json()
