@@ -62,10 +62,18 @@ from .scanner.checkpoint import study_config_from_dict
 log = logging.getLogger("repro")
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for ``--seed``: the DRBG takes non-negative ints only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_ecosystem_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--population", type=int, default=450,
                         help="ranked-list size (default 450)")
-    parser.add_argument("--seed", type=int, default=2016,
+    parser.add_argument("--seed", type=non_negative_int, default=2016,
                         help="deterministic ecosystem seed (default 2016)")
 
 

@@ -1,5 +1,9 @@
 """Tests for the deterministic HMAC-DRBG."""
 
+import hashlib
+import hmac
+import struct
+
 import pytest
 
 from repro.crypto.rng import DeterministicRandom
@@ -153,3 +157,111 @@ def test_bytes_generated_counter():
     rng.random_bytes(10)
     rng.random_bytes(20)
     assert rng.bytes_generated == 30
+
+
+class _ReferenceDRBG:
+    """The HMAC-DRBG written out plainly with :func:`hmac.new`.
+
+    ``_update`` and the generate loop follow NIST SP 800-90A §10.1.2;
+    integers are seeded by their minimal big-endian encoding.
+    """
+
+    def __init__(self, seed):
+        if isinstance(seed, int):
+            seed = seed.to_bytes((seed.bit_length() + 7) // 8 or 1, "big")
+        elif isinstance(seed, str):
+            seed = seed.encode("utf-8")
+        self.key = b"\x00" * 32
+        self.value = b"\x01" * 32
+        self.update(seed)
+
+    def hmac(self, key, data):
+        return hmac.new(key, data, hashlib.sha256).digest()
+
+    def update(self, provided):
+        self.key = self.hmac(self.key, self.value + b"\x00" + (provided or b""))
+        self.value = self.hmac(self.key, self.value)
+        if provided:
+            self.key = self.hmac(self.key, self.value + b"\x01" + provided)
+            self.value = self.hmac(self.key, self.value)
+
+    def random_bytes(self, n):
+        out = b""
+        while len(out) < n:
+            self.value = self.hmac(self.key, self.value)
+            out += self.value
+        self.update(None)
+        return out[:n]
+
+    def random_int(self, bits):
+        nbytes = (bits + 7) // 8
+        return int.from_bytes(self.random_bytes(nbytes), "big") >> (nbytes * 8 - bits)
+
+    def randbelow(self, upper):
+        while True:
+            candidate = self.random_int(upper.bit_length())
+            if candidate < upper:
+                return candidate
+
+    def uniform(self, lower, upper):
+        return lower + (upper - lower) * (self.random_int(53) / (1 << 53))
+
+    def reseed(self, data):
+        self.update(data)
+
+    def fork(self, label):
+        return _ReferenceDRBG(self.hmac(self.key, b"fork:" + label.encode("utf-8")))
+
+
+_DRAW_SIZES = (0, 1, 7, 16, 31, 32, 33, 48, 64, 1000)
+
+
+def _operations(rng):
+    """A fixed sequence exercising every state transition of the DRBG."""
+    out = [rng.random_bytes(n) for n in _DRAW_SIZES]
+    out += [rng.random_int(bits) for bits in (1, 8, 53, 257)]
+    out += [rng.randbelow(upper) for upper in (1, 3, 1000, 2**64 + 1)]
+    out += [rng.uniform(-1.0, 3.0) for _ in range(3)]
+    child = rng.fork("child")
+    out += [child.random_bytes(n) for n in _DRAW_SIZES]
+    rng.reseed(b"example.com")
+    out += [rng.random_bytes(n) for n in reversed(_DRAW_SIZES)]
+    out.append(child.fork("grandchild").random_bytes(100))
+    child.reseed(b"")
+    out.append(child.random_bytes(33))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 255, 256, 2016, 2**70, "", "abc", b"", b"\x00seed"])
+def test_matches_reference_hmac_drbg(seed):
+    assert _operations(DeterministicRandom(seed)) == _operations(_ReferenceDRBG(seed))
+
+
+def _draw_sequence_digest(seed):
+    digest = hashlib.sha256()
+    for item in _operations(DeterministicRandom(seed)):
+        if isinstance(item, int):
+            item = item.to_bytes(40, "big")
+        elif isinstance(item, float):
+            item = struct.pack(">d", item)
+        digest.update(item)
+    return digest.hexdigest()
+
+
+# Computed on the generator as it stood before its HMAC was reimplemented;
+# any change here changes every ecosystem, ticket and scan the repo makes.
+_PINNED_DRAW_DIGESTS = {
+    0: "c3124f3a2342a657e849b7f4dbbaba8d78b951904ce2c0c140696d2c3fd6a91b",
+    2016: "a530f3c12a8bf8f653f62779556ab90ee18759c33ecfa717bc01ffd810b60a82",
+    "abc": "d15a48ff8ccb26b2762301c34443be7f71097530a4256bd3c93671bc332745e9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_DRAW_DIGESTS, key=repr))
+def test_draw_sequence_is_pinned(seed):
+    assert _draw_sequence_digest(seed) == _PINNED_DRAW_DIGESTS[seed]
+
+
+def test_negative_int_seed_rejected():
+    with pytest.raises(ValueError, match="-3"):
+        DeterministicRandom(-3)

@@ -388,3 +388,11 @@ def test_watch_live_study_over_http(tmp_path, capsys):
         assert "days 1/4" in out
     finally:
         plane.stop()
+
+
+@pytest.mark.parametrize("command", [["scan", "yahoo.com"], ["study", "--days", "1"]])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + ["--population", "420", "--seed", "-3"])
+    assert excinfo.value.code == 2
+    assert "argument --seed: must be non-negative, got -3" in capsys.readouterr().err
