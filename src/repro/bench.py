@@ -10,8 +10,8 @@ tracks two layers on every PR:
 * **e2e** — wall-clock and grabs/sec for a small reference study run
   end-to-end through the sharded scan engine, plus a ``scale_study``
   section that pushes a large daily-sweep-only population through the
-  event-driven core (``concurrency=2048``, streamed to disk) and
-  records RSS before/after so memory stays part of the trajectory;
+  scan engine (streamed to disk) and records RSS before/after so
+  memory stays part of the trajectory;
 * **analysis** — ``report`` + ``audit`` wall-clock on a synthetic
   corpus: the legacy in-memory path versus the streaming engine
   (:mod:`repro.analysis`) cold at 1 and 4 workers and with a warm
@@ -278,19 +278,19 @@ def run_e2e(quick: bool) -> dict:
     }
 
 
-# --- scale study (event-driven scan core) ------------------------------
+# --- scale study ---------------------------------------------------------
 
 def run_scale(quick: bool, population: Optional[int] = None) -> dict:
-    """Daily-sweep throughput at scan scale through the event-driven core.
+    """Daily-sweep throughput at scan scale.
 
     Unlike the reference study (small population, every experiment
     enabled), this section isolates the scan engine itself: a large
-    population, daily sweeps only, ``concurrency=2048`` in-flight
-    handshakes, and observations streamed to disk — the configuration
-    SCALING.md recommends for real studies.  Records RSS after the
-    ecosystem build and at peak so memory growth under load is part of
-    the cross-PR trajectory (streaming keeps it near-flat; the delta is
-    per-STEK key schedules and scan bookkeeping, not observations).
+    population, daily sweeps only, and observations streamed to disk —
+    the configuration SCALING.md recommends for real studies.  Records
+    RSS after the ecosystem build and at peak so memory growth under
+    load is part of the cross-PR trajectory (streaming keeps it
+    near-flat; the delta is per-STEK key schedules and scan
+    bookkeeping, not observations).
     """
     import shutil
     import tempfile
@@ -318,7 +318,6 @@ def run_scale(quick: bool, population: Optional[int] = None) -> dict:
         run_support_scans=False,
         run_crossdomain=False,
         run_probes=False,
-        concurrency=2048,
         stream_dir=stream_dir,
     )
     try:
@@ -329,7 +328,6 @@ def run_scale(quick: bool, population: Optional[int] = None) -> dict:
         "scale_study": {
             "population": population,
             "days": config.days,
-            "concurrency": config.concurrency,
             "grabs": stats.grabs,
             "seconds": round(stats.elapsed_seconds, 3),
             "grabs_per_sec": round(stats.grabs_per_sec, 2),
@@ -539,8 +537,8 @@ _SPEEDUP_KEYS = (
     ("micro", "full_handshake", "ops_per_sec"),
     ("micro", "abbreviated_handshake", "ops_per_sec"),
     ("e2e", "reference_study", "grabs_per_sec"),
-    # Absent from baselines captured before the event-driven scan core
-    # landed; compute_speedups silently skips metrics a baseline lacks.
+    # Absent from baselines captured before the scale tier landed;
+    # compute_speedups silently skips metrics a baseline lacks.
     ("e2e", "scale_study", "grabs_per_sec"),
 )
 
@@ -628,8 +626,7 @@ def render(report: dict) -> str:
         )
         if "rss_peak_kb" in stats:
             line += (
-                f" [pop {stats['population']:,} @ concurrency "
-                f"{stats['concurrency']:,}; RSS "
+                f" [pop {stats['population']:,}; RSS "
                 f"{stats['rss_after_build_kb'] / 1024:,.0f}->"
                 f"{stats['rss_peak_kb'] / 1024:,.0f} MiB]"
             )

@@ -198,8 +198,8 @@ def _resumed_study(args) -> tuple["object", StudyConfig]:
     Everything output-affecting comes from the checkpoint fingerprint —
     the original study configuration and ecosystem knobs — so a resume
     cannot accidentally merge shards from two different studies; only
-    execution knobs (``--workers``, ``--concurrency``, ``--oracle``)
-    are taken from the new invocation.
+    execution knobs (``--workers``, ``--oracle``) are taken from the new
+    invocation.
     """
     store = CheckpointStore(args.resume)
     state = store.load_run_state()
@@ -208,7 +208,6 @@ def _resumed_study(args) -> tuple["object", StudyConfig]:
         dict(fingerprint.get("study", {})),
         workers=args.workers,
         stream_dir=args.resume,
-        concurrency=args.concurrency,
         oracle=args.oracle,
     )
     ecosystem_data = fingerprint.get("ecosystem") or {}
@@ -269,7 +268,6 @@ def cmd_study(args) -> int:
             shards=args.shards,
             workers=args.workers,
             stream_dir=args.stream_dir,
-            concurrency=args.concurrency,
             oracle=args.oracle,
             chaos=chaos,
             retry=retry,
@@ -702,18 +700,12 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--workers", type=int, default=1,
                        help="worker processes executing shards; never "
                             "affects output (default 1)")
-    study.add_argument("--concurrency", type=int, default=1024,
-                       metavar="N",
-                       help="in-flight grabs admitted per event-loop batch "
-                            "within each shard; execution-only, never "
-                            "affects output (default 1024; see "
-                            "docs/SCALING.md)")
     study.add_argument("--oracle", action="store_true",
-                       help="use the blocking reference scan path (full "
-                            "record serialization and real crypto per "
-                            "connection) instead of the event-driven fast "
-                            "path; output is byte-identical, roughly 10x "
-                            "slower — for equivalence checks")
+                       help="use the reference handshake (full record "
+                            "serialization and real crypto per connection) "
+                            "instead of the fast path; output is "
+                            "byte-identical, roughly 10x slower — for "
+                            "equivalence checks")
     study.add_argument("--stream-dir", default=None,
                        help="stream observations to JSONL in this directory "
                             "as they are produced instead of holding them "

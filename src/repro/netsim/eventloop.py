@@ -1,9 +1,11 @@
 """Deterministic event loop over the virtual clock.
 
-This is the scheduler behind the event-driven scan core: it interleaves
-thousands of in-flight tasks (TLS handshakes, resumption probes, retry
-backoffs) in ONE process while keeping execution order a pure function
-of the schedule — never of how many tasks happen to be in flight.
+This is the scheduler behind the 24-hour resumption probes
+(:mod:`repro.scanner.resumption`), the one scan whose tasks really
+interleave: it runs one continuation per probed domain in ONE process
+while keeping execution order a pure function of the schedule — never
+of how many tasks happen to be in flight.  Daily sweeps need none of
+this; they are a plain loop over their window ticks.
 
 Tasks are plain generators.  A task runs until it ``yield``\\ s a
 :class:`Wait`, which parks it on the loop's heap until the requested
@@ -49,8 +51,8 @@ not by spawn order:
 >>> (slow.result, fast.result)
 ('slow', 'fast')
 
-Tasks can also be admitted at a future time (the sweep scheduler
-admits one grab per schedule tick):
+Tasks can also be admitted at a future time (the resumption probes
+stagger their initial handshakes this way):
 
 >>> loop = EventLoop(clock.now, clock.advance)
 >>> def ping(at):

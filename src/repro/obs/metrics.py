@@ -4,11 +4,11 @@ The measurement pipeline's observability layer (ISSUE: the paper's
 nine-week campaign depended on per-day probe/failure/timing numbers).
 Design constraints, in order:
 
-* **Hot-path cheap.**  Instruments sit inside ``aes_for_key`` and the
-  ticket codec, which run millions of times per study.  A counter is a
-  plain Python object with an integer slot; modules bind the instrument
-  once at import time and increment an attribute — no dict lookup, no
-  lock (the pipeline is single-threaded per process).
+* **Hot-path cheap.**  Instruments sit inside the STEK cipher cache
+  and the ticket codec, which run millions of times per study.  A
+  counter is a plain Python object with an integer slot; modules bind
+  the instrument once at import time and increment an attribute — no
+  dict lookup, no lock (the pipeline is single-threaded per process).
 
 * **Aggregatable across processes.**  A registry serializes to a plain
   JSON snapshot; :func:`merge_snapshots` combines per-shard snapshots

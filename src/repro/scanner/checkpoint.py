@@ -36,10 +36,10 @@ SCHEMA = "repro-checkpoint/1"
 RUN_NAME = "run.json"
 
 #: StudyConfig fields excluded from the fingerprint: pure execution
-#: knobs that never affect output bytes.  ``concurrency`` (event-loop
-#: batch size) and ``oracle`` (blocking reference path) are
-#: byte-equivalent by construction, so a resumed run may change them.
-_EXECUTION_FIELDS = ("workers", "stream_dir", "concurrency", "oracle")
+#: knobs that never affect output bytes.  ``oracle`` (reference
+#: handshake) is byte-equivalent by construction, so a resumed run may
+#: change it.
+_EXECUTION_FIELDS = ("workers", "stream_dir", "oracle")
 
 
 class CheckpointMismatch(ValueError):
@@ -62,7 +62,7 @@ def study_config_to_dict(config) -> dict:
 
 def study_config_from_dict(data: dict, *, workers: int = 1,
                            stream_dir: Optional[str] = None,
-                           concurrency: int = 1024, oracle: bool = False):
+                           oracle: bool = False):
     """Rebuild a StudyConfig from :func:`study_config_to_dict` output."""
     from .study import StudyConfig  # local import: study imports engine
 
@@ -72,7 +72,7 @@ def study_config_from_dict(data: dict, *, workers: int = 1,
         retry = RetryPolicy(**retry)
     return StudyConfig(
         **kwargs, retry=retry, workers=workers, stream_dir=stream_dir,
-        concurrency=concurrency, oracle=oracle,
+        oracle=oracle,
     )
 
 

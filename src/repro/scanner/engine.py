@@ -258,13 +258,11 @@ def run_shard(
     rng = DeterministicRandom(config.seed)
     if shard_count > 1:
         rng = rng.fork(f"shard:{shard_id}/{shard_count}")
-    # ``oracle`` selects the blocking reference exchange and the
-    # one-at-a-time sweep loop; the default is the event-driven fast
-    # path (byte-identical output; see docs/SCALING.md).
-    oracle = bool(getattr(config, "oracle", False))
+    # ``oracle`` selects the full record-layer handshake; the default
+    # is the fast path (byte-identical output; see docs/SCALING.md).
     grabber = ZGrabber(
         ecosystem, rng.fork("grabber"), retry=getattr(config, "retry", None),
-        fast=not oracle,
+        fast=not getattr(config, "oracle", False),
     )
     sink = _StreamingSink(stream_dir) if stream_dir else _MemorySink()
     stats = StudyStats(days=config.days, shards=shard_count, workers=1)
@@ -277,7 +275,6 @@ def run_shard(
         emit=sink.emit,
         shard_id=shard_id,
         shard_count=shard_count,
-        concurrency=None if oracle else getattr(config, "concurrency", 1024),
     )
     ctx.meta["day0_list"] = ecosystem.alexa_list(0)
     ranks = ctx.meta.setdefault("ranks", {})
@@ -825,7 +822,6 @@ class StudyEngine:
     #: Cache metric families summarized in the manifest's ``caches``
     #: section (each contributes ``<name>.{hit,miss[,eviction]}``).
     CACHE_FAMILIES = (
-        "crypto.aes.key_cache",
         "crypto.aes.stek_cipher",
         "crypto.ec.shared_memo",
         "tls.kex.params_cache",

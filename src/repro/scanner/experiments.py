@@ -94,10 +94,6 @@ class StudyContext:
     today_owned: list[tuple[int, str]] = field(default_factory=list)
     full_list_size: int = 0
     meta: dict = field(default_factory=dict)
-    #: Event-loop admission batch size for sweeps; ``None`` selects the
-    #: blocking reference path (``study --oracle``).  Execution-only:
-    #: never changes dataset bytes, only buffering granularity.
-    concurrency: Optional[int] = None
 
     def owns(self, name: str) -> bool:
         return shard_of(name, self.shard_count) == self.shard_id
@@ -199,7 +195,6 @@ class DailySweepExperiment(Experiment):
                 offer_tickets=self.offer_tickets,
                 label=self.label,
             ),
-            concurrency=ctx.concurrency,
             sink=lambda batch: ctx.emit(self.channel, batch),
         )
 
@@ -253,14 +248,12 @@ class SupportScanExperiment(Experiment):
                 window_seconds=window,
                 label=f"{self.kind}-support",
             ),
-            concurrency=ctx.concurrency,
             sink=lambda batch: ctx.emit(f"{self.kind}_support", batch),
         )
         thirty_minute_scan(
             ctx.grabber,
             ctx.today_owned,
             self.offer,
-            concurrency=ctx.concurrency,
             sink=lambda batch: ctx.emit(f"{self.kind}_30min", batch),
         )
 

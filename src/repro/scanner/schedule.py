@@ -10,11 +10,10 @@ server-side rotations and cache expiries interleave realistically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..netsim.clock import HOUR, MINUTE
-from ..netsim.eventloop import EventLoop, Wait
 from ..tls.ciphers import CipherSuite, MODERN_BROWSER_OFFER
 from .grab import ZGrabber
 from .records import ScanObservation
@@ -31,12 +30,16 @@ class SweepConfig:
     label: str = "sweep"
 
 
+#: Observations buffered per sink write.  Bounds the per-shard memory
+#: between flushes; it never changes output bytes.
+FLUSH_BATCH = 1024
+
+
 def sweep(
     grabber: ZGrabber,
     domains: Sequence[tuple[int, str]],
     config: SweepConfig,
     *,
-    concurrency: Optional[int] = None,
     sink: Optional[Callable[[list[ScanObservation]], object]] = None,
 ) -> list[ScanObservation]:
     """Scan ``domains`` (rank, name) within the configured time window.
@@ -44,61 +47,24 @@ def sweep(
     Connections are issued in domain order with the window divided
     evenly; for multi-connection scans, each domain's connections are
     spaced across the whole window (the paper's 10 connections over six
-    hours), not fired back-to-back.
+    hours), not fired back-to-back.  Each grab runs at its window tick,
+    or at once if the previous grab (retry backoff) ran past it.
 
-    With ``concurrency`` set, grabs are admitted onto a
-    :class:`~repro.netsim.eventloop.EventLoop` in batches of that many
-    in-flight tasks; ``concurrency=None`` is the blocking reference
-    loop.  Both orders are identical — every grab is scheduled at its
-    window tick, and the loop resumes tasks in ``(due, admission)``
-    order — so batch size never changes output bytes, only how many
-    observations are buffered before each flush (memory).
-
-    ``sink`` receives observation batches as they complete (the
-    streaming engine's per-shard emit); without it, all observations
-    are returned as one list.
+    ``sink`` receives observation batches of at most
+    :data:`FLUSH_BATCH` as they complete (the streaming engine's
+    per-shard emit) and the return value is empty; without it, all
+    observations are returned as one list.
     """
     ecosystem = grabber.ecosystem
     observations: list[ScanObservation] = []
     flush = sink if sink is not None else observations.extend
-    if not domains:
-        if sink is not None:
-            flush([])
-        return observations
     total = len(domains) * config.connections_per_domain
     step = config.window_seconds / max(total, 1)
     start = ecosystem.clock.now()
-    schedule = (
-        (tick, rank, name)
-        for tick, (rank, name) in enumerate(
-            (pair for _ in range(config.connections_per_domain) for pair in domains)
-        )
-    )
-    if concurrency is None:
-        # Blocking reference loop (the oracle path): one grab at a time,
-        # clock advanced to each grab's window tick.
-        batch: list[ScanObservation] = []
-        for tick, rank, name in schedule:
-            ecosystem.advance_to(max(start + tick * step, ecosystem.clock.now()))
-            batch.append(
-                grabber.grab(
-                    name,
-                    rank=rank,
-                    offer=config.offer,
-                    offer_tickets=config.offer_tickets,
-                )
-            )
-        flush(batch)
-        return observations
-
-    window = max(1, int(concurrency))
-    loop = EventLoop(ecosystem.clock.now, ecosystem.advance_to)
-    batch = []
-
-    def one_grab(due: float, rank: int, name: str):
-        """Continuation for one scheduled grab: park until its window
-        tick, then run the (fast-path) grab to completion."""
-        yield Wait.until(due)
+    pairs = (pair for _ in range(config.connections_per_domain) for pair in domains)
+    batch: list[ScanObservation] = []
+    for tick, (rank, name) in enumerate(pairs):
+        ecosystem.advance_to(max(start + tick * step, ecosystem.clock.now()))
         batch.append(
             grabber.grab(
                 name,
@@ -107,60 +73,12 @@ def sweep(
                 offer_tickets=config.offer_tickets,
             )
         )
-
-    exhausted = False
-    while not exhausted:
-        admitted = 0
-        for tick, rank, name in schedule:
-            loop.spawn(one_grab(start + tick * step, rank, name))
-            admitted += 1
-            if admitted >= window:
-                break
-        else:
-            exhausted = True
-        if admitted:
-            loop.run()
+        if len(batch) >= FLUSH_BATCH:
             flush(batch)
             batch = []
+    if batch:
+        flush(batch)
     return observations
-
-
-@dataclass
-class DailyScanCampaign:
-    """A multi-day, once-a-day sweep (the §4.3/§4.4 longitudinal scans).
-
-    Each day the campaign pulls the *current* Alexa list (churn and
-    all), scans it, and stores the observations.  Analyses later
-    restrict to always-present domains, exactly like the paper.
-    """
-
-    grabber: ZGrabber
-    offer: tuple[CipherSuite, ...] = MODERN_BROWSER_OFFER
-    window_seconds: float = 3 * HOUR
-    offer_tickets: bool = True
-    label: str = "daily"
-    #: With ``accumulate=False`` the campaign only returns each day's
-    #: observations (streaming callers persist them elsewhere) instead
-    #: of holding the whole study in ``observations``.
-    accumulate: bool = True
-    observations: list[ScanObservation] = field(default_factory=list)
-
-    def run_day(self, domains: Optional[Sequence[tuple[int, str]]] = None) -> list[ScanObservation]:
-        """Scan once for the current day; returns the day's observations."""
-        ecosystem = self.grabber.ecosystem
-        if domains is None:
-            domains = ecosystem.alexa_list()
-        config = SweepConfig(
-            offer=self.offer,
-            connections_per_domain=1,
-            window_seconds=self.window_seconds,
-            offer_tickets=self.offer_tickets,
-            label=self.label,
-        )
-        day_observations = sweep(self.grabber, domains, config)
-        if self.accumulate:
-            self.observations.extend(day_observations)
-        return day_observations
 
 
 def thirty_minute_scan(
@@ -168,7 +86,6 @@ def thirty_minute_scan(
     domains: Sequence[tuple[int, str]],
     offer: tuple[CipherSuite, ...] = MODERN_BROWSER_OFFER,
     *,
-    concurrency: Optional[int] = None,
     sink: Optional[Callable[[list[ScanObservation]], object]] = None,
 ) -> list[ScanObservation]:
     """The paper's single-connection scan in a 30-minute window (§5.2)."""
@@ -181,9 +98,8 @@ def thirty_minute_scan(
             window_seconds=30 * MINUTE,
             label="30min",
         ),
-        concurrency=concurrency,
         sink=sink,
     )
 
 
-__all__ = ["SweepConfig", "sweep", "DailyScanCampaign", "thirty_minute_scan"]
+__all__ = ["FLUSH_BATCH", "SweepConfig", "sweep", "thirty_minute_scan"]

@@ -74,13 +74,9 @@ class StudyConfig:
     shards: int = 1
     workers: int = 1
     stream_dir: Optional[str] = None
-    # Event-driven scan core (see docs/SCALING.md).  ``concurrency`` is
-    # the event-loop admission batch size per shard — execution-only,
-    # like ``workers``: it bounds buffered observations per flush and
-    # never changes output bytes.  ``oracle`` selects the blocking
-    # reference path (full record serialization + real crypto per
-    # connection) that the fast event-driven path is pinned against.
-    concurrency: int = 1024
+    # ``oracle`` selects the reference handshake (full record
+    # serialization + real crypto per connection) that the fast path is
+    # pinned against; execution-only, like ``workers``.
     oracle: bool = False
     # Resilience knobs (see repro.faults).  ``chaos`` is a repro-chaos/1
     # profile dict compiled per shard into an ImpairmentPlan; ``retry``
@@ -103,9 +99,14 @@ class StudyConfig:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.concurrency < 1:
+        if self.probe_domain_count < 0:
             raise ValueError(
-                f"concurrency must be >= 1, got {self.concurrency}"
+                f"probe_domain_count must be >= 0, got {self.probe_domain_count}"
+            )
+        if self.support_scan_connections < 1:
+            raise ValueError(
+                "support_scan_connections must be >= 1, got "
+                f"{self.support_scan_connections}"
             )
         scheduled: list[tuple[str, int]] = []
         if self.run_support_scans:

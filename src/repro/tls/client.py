@@ -201,8 +201,8 @@ class TLSClient:
     ) -> Generator[Wait, None, None]:
         """The handshake as a resumable continuation.
 
-        This is the protocol-shim contract the event-driven scan core
-        schedules (docs/SCALING.md): a generator that yields a
+        This is the protocol-shim contract of the scan core
+        (docs/SCALING.md): a generator that yields a
         :class:`~repro.netsim.eventloop.Wait` wherever bytes are on
         the wire — once after each flight this client sends — and
         mutates ``result`` as the exchange progresses.  Between

@@ -1,4 +1,4 @@
-"""Draw-identical fast handshakes for the event-driven scan core.
+"""Draw-identical fast handshakes for the scanner.
 
 The blocking client/server exchange serializes real records, runs the
 PRF, computes shared secrets, and signs key-exchange parameters on

@@ -109,10 +109,8 @@ class STEK:
         """The expanded AES key schedule for ``aes_key``, built once.
 
         Keeping the schedule on the STEK ties its lifetime to the key's
-        own: the process-wide ``aes_for_key`` LRU is sized for a handful
-        of hot keys, and a full-ecosystem scan touching one STEK per
-        domain per pass would cycle it (every lookup a miss).  Cached in
-        ``__dict__`` because the dataclass is frozen; this is identity
+        own, so a STEK that seals and opens many tickets expands its key
+        once.  Cached in ``__dict__`` because the dataclass is frozen; this is identity
         state, not value state, so it stays out of ``==``/``repr``.
         """
         cached = self.__dict__.get("_cipher")

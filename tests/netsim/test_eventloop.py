@@ -195,7 +195,7 @@ def test_pending_counts_parked_tasks():
 
 
 def test_spawning_from_inside_a_running_task():
-    """The sweep admits new grabs while earlier ones are in flight."""
+    """A running task can admit new tasks while earlier ones wait."""
     clock, loop = make_loop()
     log = []
 
@@ -228,9 +228,8 @@ def test_task_exception_propagates():
 def test_interleaving_independent_of_admission_batch():
     """Same schedule, different admission grouping, same resume order.
 
-    This is the loop-level version of the scanner's concurrency
-    independence: whether tasks are spawned all at once or in chunks,
-    the (due, sequence) order — and therefore the log — is identical as
+    Whether tasks are spawned all at once or in chunks, the
+    (due, sequence) order — and therefore the log — is identical as
     long as the waits themselves are.
     """
     def run_with_batch(batch):

@@ -1,10 +1,11 @@
-"""Sweep and daily-campaign scheduling tests."""
+"""Sweep scheduling tests."""
 
 import pytest
 
+import repro.scanner.schedule as schedule
 from repro.crypto.rng import DeterministicRandom
-from repro.netsim.clock import DAY, HOUR
-from repro.scanner import DailyScanCampaign, SweepConfig, ZGrabber, sweep, thirty_minute_scan
+from repro.netsim.clock import HOUR
+from repro.scanner import SweepConfig, ZGrabber, sweep, thirty_minute_scan
 
 
 @pytest.fixture()
@@ -47,6 +48,9 @@ def test_sweep_multi_connection(grabber):
 
 def test_sweep_empty_list(grabber):
     assert sweep(grabber, [], SweepConfig()) == []
+    batches = []
+    assert sweep(grabber, [], SweepConfig(), sink=batches.append) == []
+    assert batches == []
 
 
 def test_sweep_records_ranks(grabber):
@@ -57,15 +61,22 @@ def test_sweep_records_ranks(grabber):
         assert observation.domain == name
 
 
-def test_daily_campaign_accumulates(grabber):
-    campaign = DailyScanCampaign(grabber, window_seconds=HOUR)
-    ecosystem = grabber.ecosystem
-    for day in range(3):
-        ecosystem.advance_to(day * DAY)
-        campaign.run_day(ecosystem.alexa_list()[:30])
-    assert len(campaign.observations) == 90
-    days = {o.day for o in campaign.observations}
-    assert days == {0, 1, 2}
+def test_sweep_sink_flushes_bounded_batches(small_ecosystem_factory, monkeypatch):
+    monkeypatch.setattr(schedule, "FLUSH_BATCH", 8)
+    config = SweepConfig(connections_per_domain=2, window_seconds=HOUR)
+
+    def run(sink):
+        ecosystem = small_ecosystem_factory(population=380, seed=21)
+        grabber = ZGrabber(ecosystem, DeterministicRandom(777))
+        return sweep(grabber, ecosystem.alexa_list()[:25], config, sink=sink)
+
+    batches = []
+    assert run(batches.append) == []
+    expected = run(None)
+    assert len(expected) == 50 > schedule.FLUSH_BATCH
+    assert [len(batch) for batch in batches] == [8] * 6 + [2]
+    flushed = [o for batch in batches for o in batch]
+    assert [o.to_json() for o in flushed] == [o.to_json() for o in expected]
 
 
 def test_thirty_minute_scan_duration(grabber):

@@ -199,3 +199,22 @@ class TestStudyConfigValidation:
             StudyConfig(shards=0)
         with pytest.raises(ValueError, match="workers"):
             StudyConfig(workers=-1)
+
+    def test_rejects_negative_probe_domain_count(self):
+        # A negative count would slice ``today[:-5]`` and probe every
+        # domain except the last five.
+        with pytest.raises(ValueError, match="probe_domain_count"):
+            StudyConfig(probe_domain_count=-5)
+
+    def test_rejects_support_scan_without_connections(self):
+        with pytest.raises(ValueError, match="support_scan_connections"):
+            StudyConfig(support_scan_connections=0)
+
+    def test_probe_and_support_counts_accept_valid_values(self):
+        config = StudyConfig()
+        assert config.probe_domain_count == 400
+        assert config.support_scan_connections == 10
+        # The CLI probes the whole population (its default is 450).
+        assert StudyConfig(probe_domain_count=450).probe_domain_count == 450
+        assert StudyConfig(probe_domain_count=0).probe_domain_count == 0
+        assert StudyConfig(support_scan_connections=1).support_scan_connections == 1
