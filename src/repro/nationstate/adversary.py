@@ -31,7 +31,7 @@ from ..crypto import dh, ec
 from ..crypto.prf import derive_master_secret
 from ..tls.ciphers import CipherSuite
 from ..tls.client import CapturedFlight
-from ..tls.constants import ContentType, ExtensionType, KeyExchangeKind, ProtocolVersion
+from ..tls.constants import KEX_LABELS, ContentType, ExtensionType, ProtocolVersion
 from ..tls.extensions import find_extension
 from ..tls.messages import (
     ClientHello,
@@ -111,10 +111,7 @@ def reconstruct_connection(
                     recorded.server_random = message.random
                     recorded.server_session_id = message.session_id
                     recorded.cipher_suite = message.cipher_suite
-                    kex_hint = {
-                        KeyExchangeKind.DHE: "dhe",
-                        KeyExchangeKind.ECDHE: "ecdhe",
-                    }.get(message.cipher_suite.kex)
+                    kex_hint = KEX_LABELS[message.cipher_suite.kex]
                 elif isinstance(message, NewSessionTicket):
                     recorded.issued_ticket = message.ticket
                 elif isinstance(message, ClientKeyExchange):

@@ -40,19 +40,13 @@ from ..obs.profiling import PROFILER
 from ..obs.trace import TRACER
 from ..tls.ciphers import CipherSuite, MODERN_BROWSER_OFFER
 from ..tls.client import HandshakeResult, TLSClient
-from ..tls.constants import KeyExchangeKind
+from ..tls.constants import KEX_LABELS
 from ..tls.fastpath import fast_handshake
 from ..tls.server import TLSServer
 from ..tls.session import SessionState
 from ..tls.ticket import sniff_ticket_format, extract_key_name
 from ..tls.wire import DecodeError
 from .records import ScanObservation
-
-_KEX_NAMES = {
-    KeyExchangeKind.RSA: "rsa",
-    KeyExchangeKind.DHE: "dhe",
-    KeyExchangeKind.ECDHE: "ecdhe",
-}
 
 #: Every reason a grab can fail for (see module docstring).
 FAILURE_REASONS = (
@@ -100,9 +94,10 @@ class ZGrabber:
     ) -> None:
         self.ecosystem = ecosystem
         self._rng = rng
-        #: Use the draw-identical fast handshake (repro.tls.fastpath)
-        #: for plain scans; False forces the blocking oracle exchange.
-        #: Output bytes are identical either way — the oracle is kept
+        #: Use the record-free handshake driver (repro.tls.fastpath)
+        #: for plain scans; False forces the record-layer oracle
+        #: exchange.  Both drivers call the same decision methods, so
+        #: output bytes are identical either way — the oracle is kept
         #: selectable for equivalence tests and `study --oracle`.
         self.fast = fast
         self.client = TLSClient(
@@ -234,8 +229,8 @@ class ZGrabber:
                 return None, str(address), f"connect: {exc}", reason
             # Fault-injected connections (ImpairedServer wrappers) and
             # captures need real record flights, so they take the
-            # blocking oracle; everything else skips the unobservable
-            # crypto with identical draws and side effects.
+            # record-layer exchange; everything else skips the
+            # unobservable crypto through the same decision methods.
             if self.fast and not capture and isinstance(server, TLSServer):
                 result = fast_handshake(
                     self.client,
@@ -300,7 +295,7 @@ class ZGrabber:
         observation.success = True
         assert result.cipher_suite is not None
         observation.cipher = result.cipher_suite.name
-        observation.kex_kind = _KEX_NAMES[result.cipher_suite.kex]
+        observation.kex_kind = KEX_LABELS[result.cipher_suite.kex]
         observation.forward_secret = result.cipher_suite.forward_secret
         observation.cert_trusted = result.certificate_trusted
         observation.cert_error = result.certificate_error

@@ -1,9 +1,8 @@
 """The TLS 1.2 client used by the measurement toolchain.
 
-The client drives a server's flight-oriented exchange API with real
-serialized records, validates certificates against a trust store, and
-returns a :class:`HandshakeResult` capturing everything the paper's
-scanner records per connection:
+The client validates certificates against a trust store and returns a
+:class:`HandshakeResult` capturing everything the paper's scanner
+records per connection:
 
 * negotiated cipher suite and key-exchange family,
 * the server's (EC)DHE public value (the §4.4 reuse signal),
@@ -13,6 +12,14 @@ scanner records per connection:
 * the client-side session state needed to attempt later resumptions,
 * a full capture of the records exchanged (for the passive adversary).
 
+Each client-side decision — the ClientHello random, certificate
+validation, the RSA premaster, the reused or fresh (EC)DHE keypair,
+how a completed handshake is recorded and counted — is one method.
+:meth:`TLSClient.connect` calls them while driving a server's
+flight-oriented exchange API with real serialized records;
+:func:`repro.tls.fastpath.fast_handshake` calls the same methods
+without records, so both drivers draw identically by construction.
+
 Failures come back as ``ok=False`` results with an error string — a
 scanner must keep scanning when a server misbehaves.
 """
@@ -20,17 +27,16 @@ scanner must keep scanning when a server misbehaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from ..crypto import dh, ec
 from ..crypto.mac import sha256, constant_time_equal
 from ..crypto.prf import derive_master_secret, verify_data
 from ..crypto.rng import DeterministicRandom
-from ..netsim.eventloop import Wait
 from ..obs.metrics import METRICS
 from ..x509 import TrustStore, X509Certificate
 from .ciphers import CipherSuite, KeyExchangeKind, MODERN_BROWSER_OFFER
-from .constants import ExtensionType, ProtocolVersion
+from .constants import KEX_LABELS, ExtensionType, ProtocolVersion
 from .errors import HandshakeFailure, TLSError
 from .extensions import (
     encode_point_formats,
@@ -56,6 +62,14 @@ from .messages import (
 from .record import RecordCipher, handshake_record, new_record_cipher, parse_records, serialize_records
 from .session import SessionState, derive_connection_keys
 from .wire import DecodeError
+
+
+# Prebound instruments: one dict lookup per import, not per handshake.
+_HANDSHAKES = {
+    (kind, kex): METRICS.counter("tls.client.handshake", kind=kind, kex=label)
+    for kind in ("full", "abbreviated")
+    for kex, label in KEX_LABELS.items()
+}
 
 
 class ServerExchange(Protocol):
@@ -151,20 +165,37 @@ class TLSClient:
         (which must be provided when either is non-empty, since an
         honoring server never re-sends the master secret).
         """
+        return self.drive(
+            TLSClient._exchange, server, server_name, offer, session_id,
+            ticket, saved_session, offer_tickets, capture,
+        )
+
+    def drive(
+        self,
+        exchange: Callable[..., None],
+        server,
+        server_name: str,
+        offer: tuple[CipherSuite, ...],
+        session_id: bytes,
+        ticket: bytes,
+        saved_session: Optional[SessionState],
+        offer_tickets: bool,
+        *extra,
+    ) -> HandshakeResult:
+        """Run ``exchange(client, result, server, ...)`` for one connection.
+
+        Both handshake drivers — :meth:`connect` and
+        :func:`repro.tls.fastpath.fast_handshake` — go through here, so
+        they validate resumption offers and report failures the same
+        way: a protocol error becomes ``ok=False`` with an error string.
+        """
         if (session_id or ticket) and saved_session is None:
             raise ValueError("resumption offers require the saved session state")
         result = HandshakeResult(ok=False, domain=server_name,
                                  offered_session_id=session_id)
         try:
-            # Drive the continuation to completion inline: the simulated
-            # network has zero latency, so every Wait is already due.
-            # An event loop interleaving many clients drives the same
-            # generator through its heap instead (see netsim.eventloop).
-            for _wait in self.handshake_steps(
-                server, server_name, offer, session_id, ticket,
-                saved_session, offer_tickets, capture, result,
-            ):
-                pass
+            exchange(self, result, server, server_name, offer, session_id,
+                     ticket, saved_session, offer_tickets, *extra)
         except (TLSError, DecodeError, ValueError) as exc:
             result.ok = False
             if not result.error:
@@ -185,10 +216,78 @@ class TLSClient:
         records = parse_records(response_bytes)
         return result._record_cipher.unprotect(records[0])
 
-    # -- continuation API ----------------------------------------------------
+    # -- handshake decisions (shared by both drivers) ---------------------
 
-    def handshake_steps(
+    def draw_client_random(self, result: HandshakeResult) -> bytes:
+        """Draw the ClientHello random: every connection's first draw."""
+        result.client_random = client_random = self._rng.random_bytes(32)
+        return client_random
+
+    def validate_certificate(
+        self, result: HandshakeResult, certificate: X509Certificate, server_name: str
+    ) -> None:
+        """Record the server certificate and whether the trust store accepts it."""
+        result.certificate = certificate
+        if self.trust_store is not None:
+            validation = self.trust_store.validate(
+                certificate, server_name or None, self._now()
+            )
+            result.certificate_trusted = bool(validation)
+            result.certificate_error = validation.reason
+
+    def rsa_premaster(self, certificate: X509Certificate) -> bytes:
+        """Draw a static-RSA premaster secret for the server's key."""
+        premaster = self._rng.random_bytes(48)
+        if int.from_bytes(premaster, "big") >= certificate.public_key.n:
+            # 48 bytes always fits below a >=512-bit modulus; guard anyway.
+            raise HandshakeFailure("server RSA key too small for premaster")
+        return premaster
+
+    def dh_keypair(self, prime: int, generator: int, server_public: int) -> dh.DHKeyPair:
+        """Check the server's DHE value; return our keypair for its group.
+
+        The group is rebuilt from the parameters the server sent, so a
+        bad value is reported against the "negotiated" group.
+        """
+        group = dh.DHGroup("negotiated", prime, generator)
+        dh.validate_public_value(group, server_public)
+        if not self.reuse_client_ephemerals:
+            return dh.generate_keypair(group, self._rng)
+        keypair = self._dh_keypairs.get(prime)
+        if keypair is None:
+            keypair = self._dh_keypairs[prime] = dh.generate_keypair(group, self._rng)
+        return keypair
+
+    def ec_keypair(self, curve: ec.Curve) -> ec.ECKeyPair:
+        """Our ECDHE keypair on ``curve``: reused or freshly drawn."""
+        if not self.reuse_client_ephemerals:
+            return ec.generate_keypair(curve, self._rng)
+        keypair = self._ec_keypairs.get(curve.name)
+        if keypair is None:
+            keypair = self._ec_keypairs[curve.name] = ec.generate_keypair(curve, self._rng)
+        return keypair
+
+    def record_full(self, result: HandshakeResult, session: SessionState) -> None:
+        """Mark ``result`` as a completed full handshake."""
+        result.ok = True
+        result.session = session
+        _HANDSHAKES["full", session.cipher_suite.kex].value += 1
+
+    def record_resumption(
+        self, result: HandshakeResult, session: SessionState, offered_ticket: bytes
+    ) -> None:
+        """Mark ``result`` as a completed abbreviated handshake."""
+        result.ok = True
+        result.resumed = True
+        result.resumed_via = "ticket" if offered_ticket else "session_id"
+        result.session = session
+        _HANDSHAKES["abbreviated", session.cipher_suite.kex].value += 1
+
+    # -- the record-layer exchange ------------------------------------------
+
+    def _exchange(
         self,
+        result: HandshakeResult,
         server: ServerExchange,
         server_name: str,
         offer: tuple[CipherSuite, ...],
@@ -197,28 +296,9 @@ class TLSClient:
         saved_session: Optional[SessionState],
         offer_tickets: bool,
         capture: bool,
-        result: HandshakeResult,
-    ) -> Generator[Wait, None, None]:
-        """The handshake as a resumable continuation.
-
-        This is the protocol-shim contract of the scan core
-        (docs/SCALING.md): a generator that yields a
-        :class:`~repro.netsim.eventloop.Wait` wherever bytes are on
-        the wire — once after each flight this client sends — and
-        mutates ``result`` as the exchange progresses.  Between
-        yields the step runs to completion synchronously; all
-        randomness comes from the client/server RNG streams in a
-        fixed per-step order, so driving the generator inline
-        (:meth:`connect`) or interleaved with thousands of others on
-        an :class:`~repro.netsim.eventloop.EventLoop` produces
-        byte-identical results.  Protocol errors raise through the
-        generator; :meth:`connect` converts them to ``result.error``.
-        A TLS 1.3 or STARTTLS shim plugs in by implementing the same
-        shape: yield per flight, never consult wall-clock time, and
-        draw randomness only from the deterministic streams.
-        """
-        client_random = self._rng.random_bytes(32)
-        result.client_random = client_random
+    ) -> None:
+        """The handshake over real serialized records, one flight at a time."""
+        client_random = self.draw_client_random(result)
         extensions = []
         if server_name:
             extensions.append(encode_server_name(server_name))
@@ -243,7 +323,6 @@ class TLSClient:
         if capture:
             result.captured.append(CapturedFlight(from_client=True, data=ch_bytes))
 
-        yield Wait(0.0)  # ClientHello in flight
         flight, server_conn = server.accept(ch_bytes)
         if capture:
             result.captured.append(CapturedFlight(from_client=False, data=flight))
@@ -260,10 +339,7 @@ class TLSClient:
         result.server_supports_tickets = has_extension(
             server_hello.extensions, ExtensionType.SESSION_TICKET
         )
-        kex_hint = {
-            KeyExchangeKind.DHE: "dhe",
-            KeyExchangeKind.ECDHE: "ecdhe",
-        }.get(server_hello.cipher_suite.kex)
+        kex_hint = KEX_LABELS[server_hello.cipher_suite.kex]
         transcript += serialize_handshake(server_hello)
 
         # Collect the rest of the server's first flight.
@@ -273,14 +349,14 @@ class TLSClient:
             messages.append(message)
 
         if messages and isinstance(messages[-1], Finished):
-            yield from self._finish_abbreviated(
+            self._finish_abbreviated(
                 server, server_conn, server_hello, messages, saved_session,
-                session_id, ticket, transcript, capture, result, client_random,
+                ticket, transcript, capture, result, client_random,
             )
         else:
-            yield from self._finish_full(
+            self._finish_full(
                 server, server_conn, server_hello, messages, server_name,
-                transcript, capture, result, client_random, offer_tickets,
+                transcript, capture, result, client_random,
             )
 
     def _finish_abbreviated(
@@ -290,13 +366,12 @@ class TLSClient:
         server_hello: ServerHello,
         messages: list,
         saved_session: Optional[SessionState],
-        offered_session_id: bytes,
         offered_ticket: bytes,
         transcript: bytes,
         capture: bool,
         result: HandshakeResult,
         client_random: bytes,
-    ) -> Generator[Wait, None, None]:
+    ) -> None:
         if saved_session is None:
             raise HandshakeFailure("server resumed a session we did not offer")
         session = saved_session
@@ -326,18 +401,9 @@ class TLSClient:
         )
         if capture:
             result.captured.append(CapturedFlight(from_client=True, data=finished_bytes))
-        yield Wait(0.0)  # client Finished in flight
         server.finish_abbreviated(server_conn, finished_bytes)
 
-        result.ok = True
-        result.resumed = True
-        result.resumed_via = "ticket" if offered_ticket else "session_id"
-        METRICS.counter(
-            "tls.client.handshake",
-            kind="abbreviated",
-            kex=session.cipher_suite.kex.name.lower(),
-        ).inc()
-        result.session = session
+        self.record_resumption(result, session, offered_ticket)
         keys = derive_connection_keys(session, client_random, server_hello.random)
         result._record_cipher = new_record_cipher(
             keys, is_client=True, suite=session.cipher_suite
@@ -356,8 +422,7 @@ class TLSClient:
         capture: bool,
         result: HandshakeResult,
         client_random: bytes,
-        offer_tickets: bool,
-    ) -> Generator[Wait, None, None]:
+    ) -> None:
         certificate_msg = None
         kex_message = None
         saw_done = False
@@ -378,18 +443,15 @@ class TLSClient:
         if not certificate_msg.chain:
             raise HandshakeFailure("empty certificate chain")
         certificate = X509Certificate.parse(certificate_msg.chain[0])
-        result.certificate = certificate
-        if self.trust_store is not None:
-            validation = self.trust_store.validate(
-                certificate, server_name or None, self._now()
-            )
-            result.certificate_trusted = bool(validation)
-            result.certificate_error = validation.reason
+        self.validate_certificate(result, certificate, server_name)
         suite = server_hello.cipher_suite
         result.server_kex_kind = suite.kex
 
         if suite.kex == KeyExchangeKind.RSA:
-            premaster, exchange_data = self._rsa_premaster(certificate)
+            premaster = self.rsa_premaster(certificate)
+            key = certificate.public_key
+            ciphertext = pow(int.from_bytes(premaster, "big"), key.e, key.n)
+            exchange_data = ciphertext.to_bytes((key.n.bit_length() + 7) // 8, "big")
         else:
             if kex_message is None:
                 raise HandshakeFailure("missing ServerKeyExchange for (EC)DHE suite")
@@ -398,10 +460,26 @@ class TLSClient:
             ):
                 raise HandshakeFailure("ServerKeyExchange signature invalid")
             if isinstance(kex_message, ServerKeyExchangeDHE):
-                premaster, exchange_data, public = self._dhe_premaster(kex_message)
+                keypair = self.dh_keypair(
+                    kex_message.dh_p, kex_message.dh_g, kex_message.dh_public
+                )
+                premaster = keypair.shared_secret_bytes(kex_message.dh_public)
+                exchange_data = dh.int_to_group_bytes(keypair.group, keypair.public)
+                result.server_kex_public = dh.int_to_group_bytes(
+                    keypair.group, kex_message.dh_public
+                )
             else:
-                premaster, exchange_data, public = self._ecdhe_premaster(kex_message)
-            result.server_kex_public = public
+                curve_name = ec.NAMED_CURVE_BY_ID.get(kex_message.named_curve)
+                if curve_name is None:
+                    raise HandshakeFailure(
+                        f"unknown named curve {kex_message.named_curve}"
+                    )
+                curve = ec.CURVES_BY_NAME[curve_name]
+                server_point = ec.decode_point(curve, kex_message.point)
+                keypair = self.ec_keypair(curve)
+                premaster = keypair.shared_secret_bytes(server_point)
+                exchange_data = ec.encode_point(curve, keypair.public)
+                result.server_kex_public = kex_message.point
 
         cke = ClientKeyExchange(exchange_data=exchange_data)
         transcript += serialize_handshake(cke)
@@ -416,7 +494,6 @@ class TLSClient:
         if capture:
             result.captured.append(CapturedFlight(from_client=True, data=flight))
 
-        yield Wait(0.0)  # ClientKeyExchange + Finished in flight
         reply = server.finish_full(server_conn, flight)
         if capture:
             result.captured.append(CapturedFlight(from_client=False, data=reply))
@@ -440,67 +517,18 @@ class TLSClient:
         if not constant_time_equal(server_finished.verify_data, expected):
             raise HandshakeFailure("server Finished verification failed")
 
-        result.ok = True
-        METRICS.counter(
-            "tls.client.handshake", kind="full", kex=suite.kex.name.lower()
-        ).inc()
-        result.session = SessionState(
+        session = SessionState(
             master_secret=master,
             cipher_suite=suite,
             version=ProtocolVersion.TLS12,
             created_at=self._now(),
             domain=server_name,
         )
-        keys = derive_connection_keys(result.session, client_random, server_hello.random)
+        self.record_full(result, session)
+        keys = derive_connection_keys(session, client_random, server_hello.random)
         result._record_cipher = new_record_cipher(keys, is_client=True, suite=suite)
         result._server = server
         result._server_conn = server_conn
-
-    def _rsa_premaster(self, certificate: X509Certificate) -> tuple[bytes, bytes]:
-        premaster = self._rng.random_bytes(48)
-        value = int.from_bytes(premaster, "big")
-        if value >= certificate.public_key.n:
-            # 48 bytes always fits below a >=512-bit modulus; guard anyway.
-            raise HandshakeFailure("server RSA key too small for premaster")
-        ciphertext = pow(value, certificate.public_key.e, certificate.public_key.n)
-        size = (certificate.public_key.n.bit_length() + 7) // 8
-        return premaster, ciphertext.to_bytes(size, "big")
-
-    def _dhe_premaster(
-        self, kex: ServerKeyExchangeDHE
-    ) -> tuple[bytes, bytes, bytes]:
-        group = dh.DHGroup("negotiated", kex.dh_p, kex.dh_g)
-        dh.validate_public_value(group, kex.dh_public)
-        if self.reuse_client_ephemerals:
-            keypair = self._dh_keypairs.get(kex.dh_p)
-            if keypair is None:
-                keypair = dh.generate_keypair(group, self._rng)
-                self._dh_keypairs[kex.dh_p] = keypair
-        else:
-            keypair = dh.generate_keypair(group, self._rng)
-        premaster = keypair.shared_secret_bytes(kex.dh_public)
-        exchange_data = dh.int_to_group_bytes(group, keypair.public)
-        server_public = dh.int_to_group_bytes(group, kex.dh_public)
-        return premaster, exchange_data, server_public
-
-    def _ecdhe_premaster(
-        self, kex: ServerKeyExchangeECDHE
-    ) -> tuple[bytes, bytes, bytes]:
-        curve_name = ec.NAMED_CURVE_BY_ID.get(kex.named_curve)
-        if curve_name is None:
-            raise HandshakeFailure(f"unknown named curve {kex.named_curve}")
-        curve = ec.CURVES_BY_NAME[curve_name]
-        server_point = ec.decode_point(curve, kex.point)
-        if self.reuse_client_ephemerals:
-            keypair = self._ec_keypairs.get(curve.name)
-            if keypair is None:
-                keypair = ec.generate_keypair(curve, self._rng)
-                self._ec_keypairs[curve.name] = keypair
-        else:
-            keypair = ec.generate_keypair(curve, self._rng)
-        premaster = keypair.shared_secret_bytes(server_point)
-        exchange_data = ec.encode_point(curve, keypair.public)
-        return premaster, exchange_data, kex.point
 
 
 __all__ = [

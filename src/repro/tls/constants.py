@@ -85,6 +85,11 @@ class KeyExchangeKind(IntEnum):
     ECDHE = 2
 
 
+#: Each family's label as the dataset (``kex_kind``), the metric labels
+#: (``kex=``) and ``parse_handshake``'s ServerKeyExchange hint spell it.
+KEX_LABELS = {kind: kind.name.lower() for kind in KeyExchangeKind}
+
+
 RANDOM_LENGTH = 32
 SESSION_ID_LENGTH = 32
 VERIFY_DATA_LENGTH = 12
@@ -103,6 +108,7 @@ __all__ = [
     "AlertDescription",
     "ExtensionType",
     "KeyExchangeKind",
+    "KEX_LABELS",
     "RANDOM_LENGTH",
     "SESSION_ID_LENGTH",
     "VERIFY_DATA_LENGTH",

@@ -6,8 +6,18 @@ cache and a STEK store (both of which may be shared with other servers
 — that sharing is the paper's §5 subject), and serves whatever
 certificate its operator configured.
 
-The exchange API is synchronous and flight-oriented, matching how the
-scanner drives connections:
+Every handshake *decision* — certificate and suite choice, resumption,
+session IDs, ticket sealing, the ephemeral key — is one method that
+draws from the server's RNG stream and owns its side effects and
+counters:
+
+    negotiate, resume_lookup, then either
+        resumed_reply, count_resumption   (abbreviated), or
+        full_reply, establish             (full)
+
+Two drivers call them in that order.  The flight-oriented exchange API
+wraps them in real serialized records, as the blocking client drives
+it:
 
     flight, conn = server.accept(client_hello_bytes)
     # full handshake:
@@ -17,16 +27,18 @@ scanner drives connections:
     # then, optionally:
     reply = server.handle_application_record(conn, record_bytes)
 
-All handshake bytes are real serialized TLS records; Finished values
-are PRF-derived from the running transcript, and resumption semantics
-(RFC 5077 ticket-over-session-ID precedence, ticket reissue, cache
-expiry) follow the behaviors the paper measures.
+:func:`repro.tls.fastpath.fast_handshake` calls the same methods
+without records, so both see the same draws, cache and STEK effects
+and counters by construction.  Finished values are PRF-derived from
+the running transcript, and resumption semantics (RFC 5077
+ticket-over-session-ID precedence, ticket reissue, cache expiry)
+follow the behaviors the paper measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 from ..crypto import dh, ec
 from ..crypto.mac import sha256, constant_time_equal
@@ -39,17 +51,12 @@ from .ciphers import CipherSuite, KeyExchangeKind, select_suite
 from .constants import (
     AlertDescription,
     ExtensionType,
-    HandshakeType,
+    KEX_LABELS,
     ProtocolVersion,
     SESSION_ID_LENGTH,
 )
 from .errors import HandshakeFailure
-from .extensions import (
-    decode_server_name,
-    encode_session_ticket,
-    find_extension,
-    has_extension,
-)
+from .extensions import decode_server_name, encode_session_ticket, find_extension
 from .keyexchange import (
     EphemeralKeyCache,
     KexReusePolicy,
@@ -72,6 +79,22 @@ from .session import SessionCache, SessionState, derive_connection_keys
 from .ticket import STEKStore, TicketFormat
 from .wire import DecodeError
 
+# Prebound instruments: the decision methods run once per grab.
+_HANDSHAKES = {
+    (kind, kex): METRICS.counter("tls.server.handshake", kind=kind, kex=label)
+    for kind in ("full", "abbreviated")
+    for kex, label in KEX_LABELS.items()
+}
+_FAILURES = {
+    reason: METRICS.counter("tls.server.handshake_failure", reason=reason)
+    for reason in ("sni", "no_cipher", "finished_verify")
+}
+_RESUMPTION = {
+    (outcome, via): METRICS.counter(f"tls.server.resumption_{outcome}", via=via)
+    for outcome in ("accepted", "rejected")
+    for via in ("session_id", "ticket")
+}
+
 # Per-server static flight parts.  ServerHelloDone is always the same
 # four bytes, and the serialized Certificate message depends only on
 # the certificate presented — both are recomputed per full handshake
@@ -79,6 +102,16 @@ from .wire import DecodeError
 _SERVER_HELLO_DONE_BYTES = serialize_handshake(ServerHelloDone())
 _CERT_MSG_CACHE: dict[X509Certificate, bytes] = {}
 _CERT_MSG_CACHE_MAX = 8192
+
+
+def _server_hello_bytes(conn: ServerConnection, ticket_extension: bool) -> bytes:
+    return serialize_handshake(ServerHello(
+        version=ProtocolVersion.TLS12,
+        random=conn.server_random,
+        session_id=conn.session_id,
+        cipher_suite=conn.cipher_suite,
+        extensions=[encode_session_ticket(b"")] if ticket_extension else [],
+    ))
 
 
 def _certificate_message_bytes(certificate: X509Certificate) -> bytes:
@@ -168,8 +201,8 @@ class ServerConnection:
     private_key: Optional[RSAPrivateKey] = None
     resumed_via: Optional[str] = None
     session: Optional[SessionState] = None
-    kex_dh: Optional[dh.DHKeyPair] = None
-    kex_ec: Optional[ec.ECKeyPair] = None
+    #: This connection's (EC)DHE keypair; None for static RSA.
+    keypair: Optional[Union[dh.DHKeyPair, ec.ECKeyPair]] = None
     will_issue_ticket: bool = False
     record_cipher: Optional[RecordCipher] = None
     completed: bool = False
@@ -212,13 +245,137 @@ class TLSServer:
         if self.config.session_cache is not None:
             self.config.session_cache.clear()
 
+    # -- handshake decisions (shared by both drivers) ---------------------
+
+    def negotiate(
+        self, sni: str, offered_suites: Sequence[CipherSuite]
+    ) -> tuple[X509Certificate, RSAPrivateKey, CipherSuite, bytes]:
+        """Pick the certificate and suite for a ClientHello, then draw
+        the ServerHello random.
+
+        Raises :class:`HandshakeFailure` on a strict-SNI mismatch or
+        when no suite is shared (the scanner records these as handshake
+        errors, like a fatal alert); a failed negotiation draws nothing.
+        """
+        config = self.config
+        certificate, private_key = config.certificate_for(sni)
+        if config.strict_sni and sni and not certificate.matches_hostname(sni):
+            self.failed_handshakes += 1
+            _FAILURES["sni"].value += 1
+            raise HandshakeFailure(f"unrecognized server name {sni!r}",
+                                   AlertDescription.UNRECOGNIZED_NAME)
+        suite = select_suite(
+            offered_suites, config.supported_suites, config.server_cipher_preference
+        )
+        if suite is None:
+            self.failed_handshakes += 1
+            _FAILURES["no_cipher"].value += 1
+            raise HandshakeFailure("no mutually supported cipher suite")
+        return certificate, private_key, suite, self._rng.random_bytes(32)
+
+    def resume_lookup(
+        self, ticket: bytes, session_id: bytes, now: float
+    ) -> tuple[Optional[SessionState], Optional[str]]:
+        """The session a ClientHello's offers resume, and by which route.
+
+        RFC 5077 §3.4: a non-empty ticket takes precedence over the
+        session ID, and a bad or expired ticket falls through to a full
+        handshake without consulting the cache.
+        """
+        if ticket and self.config.stek_store is not None:
+            contents = self.config.stek_store.open(ticket)
+            if contents is not None:
+                window = self.config.ticket_policy.accept_window_seconds
+                if now - contents.issued_at <= window:
+                    _RESUMPTION["accepted", "ticket"].value += 1
+                    return contents.session, "ticket"
+            _RESUMPTION["rejected", "ticket"].value += 1
+            return None, None
+        if session_id and self.config.session_cache is not None:
+            session = self.config.session_cache.lookup(session_id, now)
+            if session is not None:
+                _RESUMPTION["accepted", "session_id"].value += 1
+                return session, "session_id"
+            _RESUMPTION["rejected", "session_id"].value += 1
+        return None, None
+
+    def resumed_reply(
+        self,
+        session: SessionState,
+        via: str,
+        offered_session_id: bytes,
+        client_offers_tickets: bool,
+        now: float,
+    ) -> tuple[bytes, Optional[NewSessionTicket]]:
+        """The session ID and reissued ticket of an abbreviated handshake.
+
+        On session-ID resumption the server echoes the ID; on ticket
+        resumption OpenSSL-style stacks send a fresh (uncached) ID and
+        reseal the ticket when policy and the client allow.
+        """
+        config = self.config
+        if via == "session_id":
+            session_id = offered_session_id
+        elif config.issue_session_ids:
+            session_id = self._rng.random_bytes(SESSION_ID_LENGTH)
+        else:
+            session_id = b""
+        ticket = None
+        if via == "ticket" and config.ticket_policy.reissue_on_resume and client_offers_tickets:
+            ticket = self._new_ticket(session, now)
+        return session_id, ticket
+
+    def full_reply(
+        self, suite: CipherSuite, client_offers_tickets: bool, now: float
+    ) -> tuple[bytes, Optional[Union[dh.DHKeyPair, ec.ECKeyPair]], bool]:
+        """Draw a full handshake's session ID, then get its ephemeral key.
+
+        Returns ``(session_id, keypair, issue_ticket)``: the keypair is
+        None for static RSA, and ``issue_ticket`` says whether
+        :meth:`establish` will seal a ticket.
+        """
+        config = self.config
+        session_id = (
+            self._rng.random_bytes(SESSION_ID_LENGTH) if config.issue_session_ids else b""
+        )
+        kex = suite.kex
+        if kex == KeyExchangeKind.DHE:
+            keypair = self.kex_cache.get_dh(config.dh_group, self._rng, now)
+        elif kex == KeyExchangeKind.ECDHE:
+            keypair = self.kex_cache.get_ec(config.curve, self._rng, now)
+        else:
+            keypair = None
+        return session_id, keypair, config.stek_store is not None and client_offers_tickets
+
+    def establish(
+        self, session: SessionState, session_id: bytes, issue_ticket: bool, now: float
+    ) -> Optional[NewSessionTicket]:
+        """Complete a full handshake: cache the session, seal its ticket."""
+        if self.config.session_cache is not None and session_id:
+            self.config.session_cache.store(session_id, session, now)
+        ticket = self._new_ticket(session, now) if issue_ticket else None
+        self.full_handshakes += 1
+        _HANDSHAKES["full", session.cipher_suite.kex].value += 1
+        return ticket
+
+    def count_resumption(self, suite: CipherSuite) -> None:
+        """Complete an abbreviated handshake."""
+        self.resumptions += 1
+        _HANDSHAKES["abbreviated", suite.kex].value += 1
+
+    def _new_ticket(self, session: SessionState, now: float) -> NewSessionTicket:
+        assert self.config.stek_store is not None
+        return NewSessionTicket(
+            lifetime_hint_seconds=self.config.ticket_policy.lifetime_hint_seconds,
+            ticket=self.config.stek_store.issue(session, self._rng, now=now),
+        )
+
     # -- handshake: first flight ----------------------------------------
 
     def accept(self, client_hello_bytes: bytes) -> tuple[bytes, ServerConnection]:
         """Process a ClientHello record; return our flight and the context.
 
-        Raises :class:`HandshakeFailure` on negotiation failure (the
-        scanner records these as handshake errors, like a fatal alert).
+        Raises :class:`HandshakeFailure` on negotiation failure.
         """
         now = self._now()
         records = parse_records(client_hello_bytes)
@@ -240,208 +397,54 @@ class TLSServer:
         sni_data = find_extension(client_hello.extensions, ExtensionType.SERVER_NAME)
         if sni_data is not None:
             sni = decode_server_name(sni_data)
-        certificate, private_key = self.config.certificate_for(sni)
-        if self.config.strict_sni and sni and not certificate.matches_hostname(sni):
-            self.failed_handshakes += 1
-            METRICS.counter("tls.server.handshake_failure", reason="sni").inc()
-            raise HandshakeFailure(f"unrecognized server name {sni!r}",
-                                   AlertDescription.UNRECOGNIZED_NAME)
-
-        suite = select_suite(
-            client_hello.cipher_suites,
-            self.config.supported_suites,
-            self.config.server_cipher_preference,
+        certificate, private_key, suite, server_random = self.negotiate(
+            sni, client_hello.cipher_suites
         )
-        if suite is None:
-            self.failed_handshakes += 1
-            METRICS.counter("tls.server.handshake_failure", reason="no_cipher").inc()
-            raise HandshakeFailure("no mutually supported cipher suite")
-
-        server_random = self._rng.random_bytes(32)
-        transcript = serialize_handshake(client_hello)
-
-        resumed_session, resumed_via = self._try_resume(client_hello, now)
-        if resumed_session is not None:
-            return self._accept_abbreviated(
-                client_hello, resumed_session, resumed_via, server_random, transcript, now, sni
-            )
-        return self._accept_full(
-            client_hello, suite, server_random, transcript, now, sni,
-            certificate, private_key,
-        )
-
-    def _client_offers_tickets(self, client_hello: ClientHello) -> bool:
-        return has_extension(client_hello.extensions, ExtensionType.SESSION_TICKET)
-
-    def _try_resume(
-        self, client_hello: ClientHello, now: float
-    ) -> tuple[Optional[SessionState], Optional[str]]:
-        ticket = find_extension(client_hello.extensions, ExtensionType.SESSION_TICKET)
-        return self.resume_lookup(ticket or b"", client_hello.session_id, now)
-
-    def resume_lookup(
-        self, ticket: bytes, session_id: bytes, now: float
-    ) -> tuple[Optional[SessionState], Optional[str]]:
-        """RFC 5077 §3.4: a non-empty ticket takes precedence over the ID.
-
-        Shared resumption decision: :meth:`accept` calls it with the
-        decoded ClientHello offers, and the draw-identical fast path
-        (:mod:`repro.tls.fastpath`) with the client's raw offers —
-        both must see the same cache/STEK side effects and metrics.
-        """
-        if ticket and self.config.stek_store is not None:
-            contents = self.config.stek_store.open(ticket)
-            if contents is not None:
-                window = self.config.ticket_policy.accept_window_seconds
-                if now - contents.issued_at <= window:
-                    METRICS.counter("tls.server.resumption_accepted", via="ticket").inc()
-                    return contents.session, "ticket"
-            METRICS.counter("tls.server.resumption_rejected", via="ticket").inc()
-            return None, None  # bad/expired ticket: fall through to full handshake
-        if session_id and self.config.session_cache is not None:
-            session = self.config.session_cache.lookup(session_id, now)
-            if session is not None:
-                METRICS.counter(
-                    "tls.server.resumption_accepted", via="session_id"
-                ).inc()
-                return session, "session_id"
-            METRICS.counter("tls.server.resumption_rejected", via="session_id").inc()
-        return None, None
-
-    def _accept_abbreviated(
-        self,
-        client_hello: ClientHello,
-        session: SessionState,
-        resumed_via: str,
-        server_random: bytes,
-        transcript: bytes,
-        now: float,
-        sni: str,
-    ) -> tuple[bytes, ServerConnection]:
-        policy = self.config.ticket_policy
-        reissue = (
-            resumed_via == "ticket"
-            and self.config.stek_store is not None
-            and policy.reissue_on_resume
-            and self._client_offers_tickets(client_hello)
-        )
-        extensions = []
-        if reissue:
-            extensions.append(encode_session_ticket(b""))
-        # On session-ID resumption the server echoes the ID; on ticket
-        # resumption OpenSSL-style stacks send a fresh (uncached) ID.
-        if resumed_via == "session_id":
-            session_id = client_hello.session_id
-        elif self.config.issue_session_ids:
-            session_id = self._rng.random_bytes(SESSION_ID_LENGTH)
-        else:
-            session_id = b""
-        server_hello = ServerHello(
-            version=ProtocolVersion.TLS12,
-            random=server_random,
-            session_id=session_id,
-            cipher_suite=session.cipher_suite,
-            extensions=extensions,
-        )
-        parts = [serialize_handshake(server_hello)]
-        if reissue:
-            assert self.config.stek_store is not None
-            fresh = self.config.stek_store.issue(session, self._rng, now=now)
-            parts.append(
-                serialize_handshake(
-                    NewSessionTicket(
-                        lifetime_hint_seconds=policy.lifetime_hint_seconds, ticket=fresh
-                    )
-                )
-            )
-        transcript += b"".join(parts)
-        finished = Finished(
-            verify_data=verify_data(
-                session.master_secret, b"server finished", sha256(transcript)
-            )
-        )
-        finished_bytes = serialize_handshake(finished)
-        parts.append(finished_bytes)
-        transcript += finished_bytes
-
-        conn = ServerConnection(
-            client_hello=client_hello,
-            server_random=server_random,
-            cipher_suite=session.cipher_suite,
-            session_id=session_id,
-            sni=sni,
-            transcript=transcript,
-            resumed=True,
-            resumed_via=resumed_via,
-            session=session,
-        )
-        flight = serialize_records([handshake_record(b"".join(parts))])
-        return flight, conn
-
-    def _accept_full(
-        self,
-        client_hello: ClientHello,
-        suite: CipherSuite,
-        server_random: bytes,
-        transcript: bytes,
-        now: float,
-        sni: str,
-        certificate: X509Certificate,
-        private_key: RSAPrivateKey,
-    ) -> tuple[bytes, ServerConnection]:
-        will_issue_ticket = (
-            self.config.stek_store is not None
-            and self._client_offers_tickets(client_hello)
-        )
-        extensions = []
-        if will_issue_ticket:
-            extensions.append(encode_session_ticket(b""))
-        session_id = (
-            self._rng.random_bytes(SESSION_ID_LENGTH)
-            if self.config.issue_session_ids
-            else b""
-        )
-        server_hello = ServerHello(
-            version=ProtocolVersion.TLS12,
-            random=server_random,
-            session_id=session_id,
-            cipher_suite=suite,
-            extensions=extensions,
-        )
-        parts = [
-            serialize_handshake(server_hello),
-            _certificate_message_bytes(certificate),
-        ]
-
         conn = ServerConnection(
             client_hello=client_hello,
             server_random=server_random,
             cipher_suite=suite,
-            session_id=session_id,
+            session_id=b"",
             sni=sni,
-            transcript=transcript,
+            transcript=serialize_handshake(client_hello),
             resumed=False,
-            certificate=certificate,
-            private_key=private_key,
-            will_issue_ticket=will_issue_ticket,
         )
-        if suite.kex == KeyExchangeKind.DHE:
-            keypair = self.kex_cache.get_dh(self.config.dh_group, self._rng, now)
-            conn.kex_dh = keypair
-            parts.append(serialize_handshake(
-                build_dhe_kex(keypair, private_key, client_hello.random, server_random)
-            ))
-        elif suite.kex == KeyExchangeKind.ECDHE:
-            keypair = self.kex_cache.get_ec(self.config.curve, self._rng, now)
-            conn.kex_ec = keypair
-            parts.append(serialize_handshake(
-                build_ecdhe_kex(keypair, private_key, client_hello.random, server_random)
-            ))
-        parts.append(_SERVER_HELLO_DONE_BYTES)
+        ticket = find_extension(client_hello.extensions, ExtensionType.SESSION_TICKET)
+        offers_tickets = ticket is not None
+        session, via = self.resume_lookup(ticket or b"", client_hello.session_id, now)
+        if session is not None:
+            conn.session_id, new_ticket = self.resumed_reply(
+                session, via, client_hello.session_id, offers_tickets, now
+            )
+            conn.cipher_suite = session.cipher_suite
+            conn.resumed, conn.resumed_via, conn.session = True, via, session
+            parts = [_server_hello_bytes(conn, new_ticket is not None)]
+            if new_ticket is not None:
+                parts.append(serialize_handshake(new_ticket))
+            finished = verify_data(session.master_secret, b"server finished",
+                                   sha256(conn.transcript + b"".join(parts)))
+            parts.append(serialize_handshake(Finished(verify_data=finished)))
+        else:
+            conn.session_id, keypair, conn.will_issue_ticket = self.full_reply(
+                suite, offers_tickets, now
+            )
+            conn.certificate, conn.private_key, conn.keypair = certificate, private_key, keypair
+            parts = [
+                _server_hello_bytes(conn, conn.will_issue_ticket),
+                _certificate_message_bytes(certificate),
+            ]
+            if suite.kex == KeyExchangeKind.DHE:
+                parts.append(serialize_handshake(
+                    build_dhe_kex(keypair, private_key, client_hello.random, server_random)
+                ))
+            elif suite.kex == KeyExchangeKind.ECDHE:
+                parts.append(serialize_handshake(
+                    build_ecdhe_kex(keypair, private_key, client_hello.random, server_random)
+                ))
+            parts.append(_SERVER_HELLO_DONE_BYTES)
         payload = b"".join(parts)
         conn.transcript += payload
-        flight = serialize_records([handshake_record(payload)])
-        return flight, conn
+        return serialize_records([handshake_record(payload)]), conn
 
     # -- handshake: second flight ----------------------------------------
 
@@ -473,14 +476,7 @@ class TLSServer:
         if remainder or not isinstance(client_finished, Finished):
             raise HandshakeFailure("expected Finished after ClientKeyExchange",
                                    AlertDescription.UNEXPECTED_MESSAGE)
-        expected = verify_data(master, b"client finished", sha256(conn.transcript))
-        if not constant_time_equal(client_finished.verify_data, expected):
-            self.failed_handshakes += 1
-            METRICS.counter(
-                "tls.server.handshake_failure", reason="finished_verify"
-            ).inc()
-            raise HandshakeFailure("client Finished verification failed",
-                                   AlertDescription.DECRYPT_ERROR)
+        self._verify_client_finished(client_finished, master, conn.transcript)
         conn.transcript += serialize_handshake(client_finished)
 
         session = SessionState(
@@ -491,22 +487,8 @@ class TLSServer:
             domain=conn.sni,
         )
         conn.session = session
-
-        if self.config.session_cache is not None and conn.session_id:
-            self.config.session_cache.store(conn.session_id, session, now)
-
-        parts = []
-        if conn.will_issue_ticket:
-            assert self.config.stek_store is not None
-            ticket = self.config.stek_store.issue(session, self._rng, now=now)
-            parts.append(
-                serialize_handshake(
-                    NewSessionTicket(
-                        lifetime_hint_seconds=self.config.ticket_policy.lifetime_hint_seconds,
-                        ticket=ticket,
-                    )
-                )
-            )
+        ticket = self.establish(session, conn.session_id, conn.will_issue_ticket, now)
+        parts = [] if ticket is None else [serialize_handshake(ticket)]
         conn.transcript += b"".join(parts)
         finished = Finished(
             verify_data=verify_data(master, b"server finished", sha256(conn.transcript))
@@ -515,12 +497,6 @@ class TLSServer:
         parts.append(finished_bytes)
         conn.transcript += finished_bytes
         conn.completed = True
-        self.full_handshakes += 1
-        METRICS.counter(
-            "tls.server.handshake",
-            kind="full",
-            kex=conn.cipher_suite.kex.name.lower(),
-        ).inc()
 
         keys = derive_connection_keys(session, conn.client_hello.random, conn.server_random)
         conn.record_cipher = new_record_cipher(keys, is_client=False, suite=conn.cipher_suite)
@@ -541,43 +517,40 @@ class TLSServer:
         if remainder or not isinstance(message, Finished):
             raise HandshakeFailure("expected Finished",
                                    AlertDescription.UNEXPECTED_MESSAGE)
-        expected = verify_data(
-            conn.session.master_secret, b"client finished", sha256(conn.transcript)
-        )
-        if not constant_time_equal(message.verify_data, expected):
-            self.failed_handshakes += 1
-            METRICS.counter(
-                "tls.server.handshake_failure", reason="finished_verify"
-            ).inc()
-            raise HandshakeFailure("client Finished verification failed",
-                                   AlertDescription.DECRYPT_ERROR)
+        self._verify_client_finished(message, conn.session.master_secret, conn.transcript)
         conn.transcript += serialize_handshake(message)
         conn.completed = True
-        self.resumptions += 1
-        METRICS.counter(
-            "tls.server.handshake",
-            kind="abbreviated",
-            kex=conn.cipher_suite.kex.name.lower(),
-        ).inc()
+        self.count_resumption(conn.cipher_suite)
         keys = derive_connection_keys(
             conn.session, conn.client_hello.random, conn.server_random
         )
         conn.record_cipher = new_record_cipher(keys, is_client=False, suite=conn.cipher_suite)
 
+    def _verify_client_finished(
+        self, finished: Finished, master: bytes, transcript: bytes
+    ) -> None:
+        expected = verify_data(master, b"client finished", sha256(transcript))
+        if not constant_time_equal(finished.verify_data, expected):
+            self.failed_handshakes += 1
+            _FAILURES["finished_verify"].value += 1
+            raise HandshakeFailure("client Finished verification failed",
+                                   AlertDescription.DECRYPT_ERROR)
+
     def _compute_premaster(self, conn: ServerConnection, cke: ClientKeyExchange) -> bytes:
         kex = conn.cipher_suite.kex
+        keypair = conn.keypair
         if kex == KeyExchangeKind.DHE:
-            assert conn.kex_dh is not None
+            assert isinstance(keypair, dh.DHKeyPair)
             client_public = int.from_bytes(cke.exchange_data, "big")
             try:
-                return conn.kex_dh.shared_secret_bytes(client_public)
+                return keypair.shared_secret_bytes(client_public)
             except dh.InvalidPublicValue as exc:
                 raise HandshakeFailure(str(exc), AlertDescription.ILLEGAL_PARAMETER) from exc
         if kex == KeyExchangeKind.ECDHE:
-            assert conn.kex_ec is not None
+            assert isinstance(keypair, ec.ECKeyPair)
             try:
-                point = ec.decode_point(conn.kex_ec.curve, cke.exchange_data)
-                return conn.kex_ec.shared_secret_bytes(point)
+                point = ec.decode_point(keypair.curve, cke.exchange_data)
+                return keypair.shared_secret_bytes(point)
             except (ValueError, ec.NotOnCurveError) as exc:
                 raise HandshakeFailure(str(exc), AlertDescription.ILLEGAL_PARAMETER) from exc
         # Static RSA: the client encrypted the premaster to our public key.
@@ -587,8 +560,7 @@ class TLSServer:
             plain = private_key.decrypt_raw(ciphertext)
         except ValueError as exc:
             raise HandshakeFailure(str(exc), AlertDescription.DECODE_ERROR) from exc
-        premaster = plain.to_bytes(48, "big")
-        return premaster
+        return plain.to_bytes(48, "big")
 
     # -- application data -------------------------------------------------
 

@@ -1,17 +1,19 @@
 """Fast path vs the reference handshake: record identity.
 
-The fast handshake (``tls/fastpath.py``) is only admissible because it
-changes NOTHING about study output — not under chaos, not at any worker
-count.  This suite runs the same chaos-laden study through every
-execution shape and pins byte-for-byte dataset equality plus
-merged-metric equality:
+The record-free driver (``tls/fastpath.py``) and the record-layer
+oracle (``TLSClient.connect``) call the same ``TLSServer``/``TLSClient``
+decision methods, so they share every draw by construction;
+``tests/tls/test_driver_equivalence.py`` checks that per handshake
+branch.  This suite checks what a whole study makes of it: the same
+chaos-laden study through every execution shape, with byte-for-byte
+dataset equality plus merged-metric equality:
 
 * ``oracle=True`` (reference handshake) vs the default fast path;
 * ``workers`` 1, 2, and 4 (process pool must be invisible — each shard
   runs its sweeps and probes inside one worker).
 
 Chaos + retry + breaker are enabled throughout so the equivalence
-covers the paths where the fast path delegates back to the oracle
+covers the paths where the fast run delegates to the oracle
 (fault-impaired connections) and where retry backoff advances virtual
 time.  Sweeps are a plain loop, so the backoff simply delays the next
 grab; only the resumption probes pump tasks on an ``EventLoop``, and
@@ -78,7 +80,7 @@ def _dataset_digest(directory) -> str:
 
 #: label -> (StudyConfig overrides, run_study kwargs)
 SHAPES = {
-    "event": ({}, {}),
+    "fast": ({}, {}),
     "oracle": ({"oracle": True}, {}),
     "workers2": ({}, {"workers": 2}),
     "workers4": ({}, {"workers": 4}),
@@ -109,11 +111,11 @@ class TestScaleEquivalence:
         return out
 
     def test_event_path_is_record_identical_to_oracle(self, runs):
-        assert runs["event"]["digest"] == runs["oracle"]["digest"]
+        assert runs["fast"]["digest"] == runs["oracle"]["digest"]
 
     @pytest.mark.parametrize("label", ["workers2", "workers4"])
     def test_workers_do_not_change_output(self, runs, label):
-        assert runs[label]["digest"] == runs["event"]["digest"]
+        assert runs[label]["digest"] == runs["fast"]["digest"]
 
     #: Counters that measure *work*, not output: the fast path skips
     #: shared-secret derivation and key-exchange params serialization
@@ -127,7 +129,7 @@ class TestScaleEquivalence:
         # validations — must agree between the fast path and the
         # blocking oracle, not just the dataset bytes.
         counters = {}
-        for label in ("event", "oracle"):
+        for label in ("fast", "oracle"):
             path = os.path.join(runs[label]["telemetry"], "metrics.json")
             with open(path) as fh:
                 counters[label] = {
@@ -135,7 +137,7 @@ class TestScaleEquivalence:
                     for key, value in json.load(fh)["counters"].items()
                     if not key.startswith(self.UNOBSERVABLE_CACHES)
                 }
-        assert counters["event"] == counters["oracle"]
+        assert counters["fast"] == counters["oracle"]
 
     def test_chaos_retry_and_breaker_engaged_in_event_path(self, runs):
         """The equivalence is not vacuous: faults fired, retries burned
@@ -143,12 +145,12 @@ class TestScaleEquivalence:
         extra grabs, and virtual-time backoff ran (latency faults +
         backoff advance the clock mid-sweep and mid-probe).
         """
-        path = os.path.join(runs["event"]["telemetry"], "metrics.json")
+        path = os.path.join(runs["fast"]["telemetry"], "metrics.json")
         with open(path) as fh:
             counters = json.load(fh)["counters"]
         assert any(key.startswith("faults.injected") for key in counters)
-        stats = runs["event"]["stats"]
-        dataset = runs["event"]["dataset"]
+        stats = runs["fast"]["stats"]
+        dataset = runs["fast"]["dataset"]
         recorded = sum(
             len(getattr(dataset, name))
             for name in ("ticket_daily", "dhe_daily", "ecdhe_daily")
